@@ -23,9 +23,13 @@ help:
 
 # Fault-tolerance gate: deterministic FaultPlan chaos tests (failure
 # policies, worker crash/hang recovery, queue protocol) on both worker
-# backends, plus the trace-side fault-record checks.
+# backends, plus the trace-side fault-record checks, and the restart
+# paths through the dispatch pump's sweep: the stealing crash-recovery
+# chaos run and the shm segment lifecycle across worker restarts.
 fault-check:
-	$(PYTHON) -m pytest tests/test_failure_injection.py -q
+	$(PYTHON) -m pytest tests/test_failure_injection.py \
+		"tests/test_scheduler.py::TestSchedulerChaos" \
+		"tests/test_process_backend.py::TestShmSegmentLifecycle" -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_substrate.py \

@@ -84,15 +84,14 @@ def _epoch(backend, scheduler, collect=False):
 
 @pytest.fixture(scope="module")
 def parity():
-    """Every mode must yield bit-identical batches before any ratio is
+    """Stealing must yield bit-identical batches before any ratio is
     trusted (the §12 parity-oracle rule)."""
     for backend in ("thread", "process"):
         reference = _epoch(backend, "static", collect=True)
-        for scheduler in ("stealing", "adaptive"):
-            candidate = _epoch(backend, scheduler, collect=True)
-            assert len(candidate) == len(reference)
-            for expected, got in zip(reference, candidate):
-                np.testing.assert_array_equal(expected, got)
+        candidate = _epoch(backend, "stealing", collect=True)
+        assert len(candidate) == len(reference)
+        for expected, got in zip(reference, candidate):
+            np.testing.assert_array_equal(expected, got)
 
 
 def test_bench_sched_static_thread(benchmark, parity):
@@ -110,10 +109,3 @@ def test_bench_sched_static_process(benchmark, parity):
 def test_bench_sched_stealing_process(benchmark, parity):
     benchmark(_epoch, "process", "stealing")
 
-
-def test_bench_sched_adaptive_process(benchmark, parity):
-    # Not ratio-gated: the closed-loop controller's win depends on how
-    # fast the [T2] wait share trips its raise rule within one short
-    # epoch; it is benched for visibility and must simply stay in the
-    # stealing ballpark.
-    benchmark(_epoch, "process", "adaptive")

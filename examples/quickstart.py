@@ -4,9 +4,9 @@ Mirrors the paper's Listing 1: declare a preprocessing pipeline with
 ``Compose``, point the ``log_file`` hooks at one trace file, run an epoch,
 then analyze per-operation / per-batch timing and export a Chrome trace.
 A second section runs a skewed-cost workload under ``scheduler="static"``
-and ``scheduler="adaptive"`` and diffs the two traces — the per-batch
-``sched`` records (queue depth, steals, chosen prefetch depth) show the
-closed-loop dispatcher rerouting the heavy batches.
+and ``scheduler="stealing"`` and diffs the two traces — the per-batch
+``sched`` records (queue depth, steals, prefetch depth) show the stealing
+dispatcher moving heavy batches off their round-robin home workers.
 
 Run:  python examples/quickstart.py
 """
@@ -52,11 +52,11 @@ class SkewedCostDataset(Dataset):
 
 
 def skewed_scheduler_demo(workdir: str) -> None:
-    """Run the same skewed workload under static and adaptive dispatch
+    """Run the same skewed workload under static and stealing dispatch
     and diff the traces: the ``sched[...]`` lines surface the per-batch
     scheduler records either side emitted."""
     logs = {}
-    for scheduler in ("static", "adaptive"):
+    for scheduler in ("static", "stealing"):
         logs[scheduler] = os.path.join(workdir, f"sched-{scheduler}.log")
         loader = DataLoader(
             SkewedCostDataset(),
@@ -76,9 +76,9 @@ def skewed_scheduler_demo(workdir: str) -> None:
 
     comparison = compare_traces(
         parse_trace_file(logs["static"]),
-        parse_trace_file(logs["adaptive"]),
+        parse_trace_file(logs["stealing"]),
     )
-    print("\ntrace diff (baseline=static -> candidate=adaptive):")
+    print("\ntrace diff (baseline=static -> candidate=stealing):")
     for line in comparison.format().splitlines():
         if line.startswith(("sched[", "median wait")):
             print(f"  {line}")
@@ -140,8 +140,8 @@ def main() -> None:
     print(f"\nChrome trace written to {viz}")
     print("open chrome://tracing and load it to see the data flow")
 
-    # -- DESIGN.md §12: closed-loop scheduling on a skewed workload ----------
-    print("\nskewed-cost workload, static vs adaptive dispatch ...")
+    # -- DESIGN.md §12: work stealing on a skewed workload -------------------
+    print("\nskewed-cost workload, static vs stealing dispatch ...")
     skewed_scheduler_demo(workdir)
 
 

@@ -74,7 +74,6 @@ from repro.core.lotustrace.records import (
     KIND_WORKER_RESTART,
     MAIN_PROCESS_WORKER_ID,
     OOO_MARKER_DURATION_NS,
-    SCHED_ADAPTIVE,
     SCHED_STATIC,
     SCHED_STEALING,
     TRANSPORT_INLINE,
@@ -124,7 +123,6 @@ __all__ = [
     "MAIN_PROCESS_WORKER_ID",
     "OOO_MARKER_DURATION_NS",
     "OpDelta",
-    "SCHED_ADAPTIVE",
     "SCHED_STATIC",
     "SCHED_STEALING",
     "SchedTraceStats",

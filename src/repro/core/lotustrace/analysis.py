@@ -144,10 +144,9 @@ class SchedTraceStats:
 
     Each ``sched`` record (DESIGN.md §12) carries the dispatched-but-
     unconsumed queue depth after a yield, that yield's steal delta, and
-    the controller's chosen per-worker in-flight depth in its name; this
-    sums the steal deltas, keeps the queue-depth extremum/total, and the
-    chosen-depth range (a static run reports a single-point range at
-    ``prefetch_factor``).
+    the per-worker prefetch depth in its name; this sums the steal
+    deltas, keeps the queue-depth extremum/total, and the depth range
+    (a single point at ``prefetch_factor`` for current loaders).
     """
 
     mode: str
@@ -324,7 +323,7 @@ class TraceAnalysis:
         """Per-mode scheduler totals, keyed by scheduler mode.
 
         One ``sched`` record per yielded batch carries the mode, queue
-        depth, steal delta, and chosen in-flight depth in its name (see
+        depth, steal delta, and per-worker prefetch depth in its name (see
         :func:`~repro.core.lotustrace.records.parse_sched_name`).
         Traces without sched records (single-process loaders, pre-§12
         logs) give ``{}``.

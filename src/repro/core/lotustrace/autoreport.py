@@ -40,9 +40,9 @@ SEVERITY_NOTICE = "notice"
 SEVERITY_WARNING = "warning"
 
 #: Share of the trace span the consumer may spend blocked in [T2] waits
-#: under ``scheduler="static"`` before the report recommends the
-#: stealing/adaptive dispatch modes (DESIGN.md §12) — the same 10%
-#: threshold the adaptive controller uses to raise its depth.
+#: under ``scheduler="static"`` before the report recommends stealing
+#: dispatch (DESIGN.md §12): past 10%, a straggler batch is stalling
+#: replenish-on-consume often enough for idle workers to matter.
 STATIC_WAIT_NOTICE_SHARE = 0.10
 
 REGIME_PREPROCESSING = "preprocessing-bound"
@@ -405,9 +405,8 @@ def generate_report(
                     f"the consumer spent {wait_total / span:.0%} of the "
                     f"epoch blocked in [T2] waits under scheduler="
                     f"'static'; replenish-on-consume lets one straggler "
-                    f"freeze dispatch — scheduler='stealing' (or "
-                    f"'adaptive') keeps idle workers fed and yields "
-                    f"bit-identical batches",
+                    f"freeze dispatch — scheduler='stealing' keeps "
+                    f"idle workers fed and yields bit-identical batches",
                 )
             )
 

@@ -173,30 +173,21 @@ TraceSink = Union[LotusLogWriter, InMemoryTraceLog]
 def open_trace_log(target: Union[PathLike, TraceSink, None]) -> Optional[TraceSink]:
     """Normalize a user-supplied log target to a writer.
 
-    Accepts a path (opens a :class:`LotusLogWriter`), an existing sink
-    (returned unchanged), or None (tracing disabled). Wrapper sinks like
-    the adaptive scheduler's record tap are matched by the TraceSink
-    protocol — ``write``/``flush``/``close`` *plus* ``path``. The
-    ``path`` requirement is what keeps an accidentally passed open file
-    handle (file-likes expose ``name``, not ``path``) from being
-    accepted silently and corrupted later by non-string
-    :class:`TraceRecord` writes; such objects raise here instead.
+    Accepts a path (opens a :class:`LotusLogWriter`), a
+    :class:`LotusLogWriter` or :class:`InMemoryTraceLog` (returned
+    unchanged), or None (tracing disabled). Any other object with a
+    ``write`` method — an open file handle, a duck-typed wrapper —
+    raises :class:`TraceError` instead of being corrupted later by
+    non-string :class:`TraceRecord` writes.
     """
     if target is None:
         return None
     if isinstance(target, (LotusLogWriter, InMemoryTraceLog)):
         return target
     if hasattr(target, "write"):
-        if (
-            hasattr(target, "flush")
-            and hasattr(target, "close")
-            and hasattr(target, "path")
-        ):
-            return target
         raise TraceError(
-            "trace log target looks like a raw file object "
-            f"({type(target).__name__}); pass a path or a TraceSink "
-            "(write/flush/close plus a path attribute)"
+            f"trace log target {type(target).__name__} is not a path, "
+            "LotusLogWriter, or InMemoryTraceLog"
         )
     return LotusLogWriter(target)
 

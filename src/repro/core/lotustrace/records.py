@@ -47,8 +47,8 @@ KIND_CACHE_STATS = "cache_stats"
 # (``static`` included, so the autoreport can tell a straggler-bound
 # static run from one that already steals). The scheduler mode, the
 # dispatched-but-unconsumed queue depth after the yield, this yield's
-# steal delta, and the controller's chosen per-worker in-flight depth
-# ride in the name field (see :func:`format_sched_name`).
+# steal delta, and the per-worker prefetch depth ride in the name field
+# (see :func:`format_sched_name`).
 KIND_SCHED = "sched"
 
 #: Record kinds emitted only by the fault-tolerance layer.
@@ -151,10 +151,10 @@ def parse_cache_stats_name(name: str) -> "tuple[str, int, int, int, int, int]":
 
 
 #: Scheduler-mode tokens carried in ``sched`` record names (and accepted
-#: by ``DataLoader(scheduler=...)``).
+#: by ``DataLoader(scheduler=...)``). The parser is mode-agnostic, so
+#: traces holding modes no longer offered still parse and aggregate.
 SCHED_STATIC = "static"
 SCHED_STEALING = "stealing"
-SCHED_ADAPTIVE = "adaptive"
 
 
 def format_sched_name(

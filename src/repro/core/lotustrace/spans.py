@@ -51,7 +51,7 @@ _KIND_PREFIX = {
     KIND_CACHE_STATS: "SCacheStats",
     # Batch-scheduler accounting spans (DESIGN.md §12): zero-width
     # per-yield markers on the main track carrying queue depth, steal
-    # delta, and chosen in-flight depth in their name.
+    # delta, and per-worker prefetch depth in their name.
     KIND_SCHED: "SSched",
 }
 

@@ -4,14 +4,12 @@ Reimplements the PyTorch DataLoader machinery the paper instruments, with
 the same internal structure: a ``worker_loop`` driving dataset *fetchers*,
 one index queue per worker, a single shared data queue, startup
 prefetching governed by ``prefetch_factor``, and out-of-order arrival
-caching with pinning in the main process. Batch dispatch is pluggable
+caching with pinning in the main process. Batch dispatch has two modes
 (DESIGN.md §12): ``scheduler="static"`` keeps the paper's § II-B policy —
 round-robin index replenishment to the worker that produced the consumed
-batch — and is the bit-exact parity oracle for the other modes;
-``"stealing"`` dispatches the oldest undispatched batch to the first
-worker with a free claim slot at payload receipt; ``"adaptive"`` adds a
-closed-loop controller that tunes per-worker in-flight depth from the
-loader's own live trace stream. All modes yield bit-identical batches —
+batch — and is the bit-exact parity oracle; ``"stealing"`` dispatches
+the oldest undispatched batch to the least-loaded worker with a free
+claim slot at payload receipt. Both yield bit-identical batches —
 batch→RNG keying makes results independent of which worker executes a
 batch.
 
@@ -21,7 +19,7 @@ LotusTrace hooks live at exactly the points the paper identifies:
   rather than subclassing per-fetcher;
 * the main process wraps ``_next_data`` ([T2]), marking out-of-order
   batches with a 1 us wait — and emits one ``sched`` record per yielded
-  batch (queue depth, steals, chosen in-flight depth) for every mode.
+  batch (queue depth, steals, prefetch depth) for every mode.
 """
 
 from repro.data.dataloader import DataLoader
@@ -60,7 +58,6 @@ from repro.data.sampler import (
 )
 from repro.data.scheduler import (
     SCHEDULER_CHOICES,
-    PrefetchController,
     StealingScheduler,
 )
 from repro.data.worker_info import (
@@ -80,7 +77,6 @@ __all__ = [
     "FaultSite",
     "FaultStats",
     "DispatchOrderBook",
-    "PrefetchController",
     "SCHEDULER_CHOICES",
     "StealingScheduler",
     "ImageFolder",

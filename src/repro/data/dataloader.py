@@ -9,25 +9,24 @@ Replicates the structure the paper instruments (§ II-B):
   the *desired* batch id is at hand — the source of the wait/delay
   pathologies of § V-C2.
 
-Dispatch is pluggable (``scheduler=``, DESIGN.md §12). The default
-``"static"`` mode is the policy the paper instruments and every parity
-test pins down: prefetch ``prefetch_factor`` index batches per worker at
-startup, then send exactly one new index batch to the worker that
-produced each consumed batch. ``"stealing"`` replaces that with
-receipt-driven dispatch from a main-process order book — the oldest
-undispatched batch goes to whichever worker frees a claim slot first,
-under a widened aggregate in-flight cap, so a straggler batch no longer
-starves the other workers of replenishment. ``"adaptive"`` adds a
-closed-loop controller that tunes the per-worker in-flight depth within
-``[1, prefetch_factor + 2]`` from the live [T2]/transport/cache trace
-stream. All three modes produce bit-identical batches (batch-keyed RNG;
-asserted by the parity suite) — ``static`` stays the bit-exact oracle.
+Map-style datasets dispatch through one pump fed by a main-process
+order book; ``scheduler=`` (DESIGN.md §12) picks its placement and
+trigger rules. The default ``"static"`` mode is the policy the paper
+instruments and every parity test pins down: batch ``b`` goes to worker
+``b % num_workers`` and the pump fires only at yield, which reproduces
+round-robin startup prefetch of ``prefetch_factor`` batches per worker
+plus one new index batch per consumed batch. ``"stealing"`` places the
+oldest undispatched batch on whichever worker frees a claim slot first,
+fires at every payload receipt, and widens the aggregate in-flight cap,
+so a straggler batch no longer starves the other workers. Both modes
+produce bit-identical batches (batch-keyed RNG; asserted by the parity
+suite) — ``static`` stays the bit-exact oracle.
 
 LotusTrace's [T2] hook wraps ``_next_data``: a ``batch_wait`` record per
 batch, with the 1 us out-of-order marker for batches already cached when
 requested; a ``batch_consumed`` record marks when the main process takes
 the batch, followed by a per-yield ``sched`` record carrying queue
-depth, steal delta, and chosen in-flight depth.
+depth, steal delta, and per-worker prefetch depth.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.core.lotustrace.records import (
     KIND_WORKER_RESTART,
     MAIN_PROCESS_WORKER_ID,
     OOO_MARKER_DURATION_NS,
-    SCHED_ADAPTIVE,
     SCHED_STATIC,
     TraceRecord,
     format_cache_stats_name,
@@ -93,8 +91,6 @@ from repro.data.sampler import (
     SequentialSampler,
 )
 from repro.data.scheduler import (
-    PrefetchController,
-    RecordTap,
     StealingScheduler,
     scheduler_buffer_depth,
     validate_scheduler,
@@ -265,20 +261,18 @@ class DataLoader:
             ``cache_stats`` trace record when tracing is on.
         cache_capacity_bytes: shared-arena size for ``cache="shared"``
             (default 256 MiB; ignored otherwise).
-        scheduler: batch-dispatch policy (DESIGN.md §12). ``"static"``
-            (default) keeps the paper's round-robin prefetch +
-            replenish-on-consume dispatch, bit-exact with every earlier
-            release — it is the parity oracle for the other modes.
+        scheduler: batch-dispatch policy (DESIGN.md §12), ``"static"``
+            or ``"stealing"``. ``"static"`` (default) keeps the paper's
+            round-robin prefetch + replenish-on-consume dispatch: batch
+            ``b`` always runs on worker ``b % num_workers``, bit-exact
+            with every earlier release — it is the parity oracle.
             ``"stealing"`` dispatches the oldest undispatched batch to
-            the first worker with a free claim slot at payload receipt,
-            widening the aggregate in-flight cap to
+            the least-loaded worker with a free claim slot at payload
+            receipt, widening the aggregate in-flight cap to
             ``num_workers * (prefetch_factor + 2)`` so stragglers stop
-            starving replenishment. ``"adaptive"`` is stealing plus a
-            closed-loop controller that tunes the per-worker in-flight
-            depth within ``[1, prefetch_factor + 2]`` from the loader's
-            own live trace stream ([T2] waits, transport bytes, cache
-            hits). Non-static modes require ``num_workers > 0`` and a
-            map-style dataset; all modes yield bit-identical batches.
+            starving replenishment. Stealing requires
+            ``num_workers > 0`` and a map-style dataset; both modes
+            yield bit-identical batches.
     """
 
     def __init__(
@@ -420,17 +414,6 @@ class DataLoader:
         self.num_workers = num_workers
         self._log_target = log_file
         self._sink: Optional[TraceSink] = open_trace_log(log_file)
-        # Adaptive scheduling (DESIGN.md §12): the controller rides the
-        # emit path — wrap the sink *before* anything captures it so
-        # every main-process record (and, on the thread backend, worker
-        # records sharing the sink object) feeds the ring online.
-        self._prefetch_controller: Optional[PrefetchController] = None
-        if self.scheduler == SCHED_ADAPTIVE:
-            self._prefetch_controller = PrefetchController(
-                num_workers, prefetch_factor
-            )
-            if self._sink is not None:
-                self._sink = RecordTap(self._sink, self._prefetch_controller)
         if self._sink is not None:
             collate_fn = _InstrumentedCollate(collate_fn, self._sink)
         self.collate_fn = collate_fn
@@ -786,14 +769,7 @@ class _WorkerPool:
         if sink is None:
             return None
         if not self.backend.is_process:
-            # Thread workers share the main-process sink object — when a
-            # RecordTap wraps it, their records feed the controller too.
             return sink
-        if isinstance(sink, RecordTap):
-            # The tap only exists main-process-side; child processes log
-            # straight to the underlying file (the controller still sees
-            # every record the main process itself emits).
-            sink = sink.inner
         if isinstance(sink, LotusLogWriter):
             return sink.path
         raise DataLoaderError(
@@ -879,10 +855,10 @@ class _MultiWorkerIter:
         self._index_queues = self._pool.index_queues
         self._data_queue = self._pool.data_queue
         self._workers = self._pool.workers
-        # The order book fronts the batch sampler for every scheduler
-        # mode: it stamps batch ids, retains dispatched indices until
-        # yield (restart replay / partial-batch accounting), and holds
-        # supervisor-requeued batches at the ready front (DESIGN.md §12).
+        # The order book fronts the batch sampler: it stamps batch ids,
+        # retains dispatched indices until yield (restart replay /
+        # partial-batch accounting), and holds supervisor-requeued
+        # batches at the ready front (DESIGN.md §12).
         self._book = DispatchOrderBook(loader.batch_sampler)
         self._send_idx = 0  # next batch id to dispatch
         self._rcvd_idx = 0  # next batch id to yield
@@ -890,15 +866,15 @@ class _MultiWorkerIter:
         # once arrived ahead of need.
         self._task_info: Dict[int, Tuple] = {}
         # batch_id -> confirmed executor (from WorkerClaim receipts);
-        # non-static modes only. Lets the supervisor count how many of a
-        # dead worker's swept claims had actually been picked up.
+        # stealing only. Lets the supervisor count how many of a dead
+        # worker's swept claims had actually been picked up.
         self._claims: Dict[int, int] = {}
+        # Map-style datasets dispatch through the pump under either
+        # mode; iterable streams keep _try_put_index (no scheduler).
         self._sched: Optional[StealingScheduler] = None
-        if loader.scheduler != SCHED_STATIC:
+        if not isinstance(loader.dataset, IterableDataset):
             self._sched = StealingScheduler(
-                loader.num_workers,
-                loader.prefetch_factor,
-                controller=loader._prefetch_controller,
+                loader.num_workers, loader.prefetch_factor, loader.scheduler
             )
         # Shm transport bookkeeping: the slab descriptor behind each
         # resolved-but-unyielded batch, and the descriptor of the batch
@@ -913,10 +889,10 @@ class _MultiWorkerIter:
         self._restarts_used = 0
         now = time.monotonic()
         self._last_activity = [now] * loader.num_workers
-        # Startup prefetch. Static: prefetch_factor index batches per
-        # worker, round-robin (the paper's § II-B fill). Stealing: the
-        # pump produces the identical startup order — select_worker
-        # breaks least-loaded ties toward the lowest worker id.
+        # Startup prefetch: prefetch_factor index batches per worker,
+        # round-robin (the paper's § II-B fill). Both pump modes produce
+        # this order — home placement, or least-loaded ties broken
+        # toward the lowest worker id.
         if self._sched is None:
             for _ in range(loader.prefetch_factor):
                 for worker_id in range(loader.num_workers):
@@ -926,6 +902,8 @@ class _MultiWorkerIter:
 
     # -- index dispatch --------------------------------------------------------
     def _try_put_index(self, worker_id: Optional[int] = None) -> bool:
+        """Iterable-stream dispatch: the next batch goes to ``worker_id``
+        (round-robin past exhausted shards), which fixes stream order."""
         if len(self._exhausted_workers) >= self._loader.num_workers:
             return False
         if worker_id is None or worker_id in self._exhausted_workers:
@@ -947,27 +925,28 @@ class _MultiWorkerIter:
         return True
 
     def _pump(self) -> None:
-        """Receipt-driven dispatch for the stealing/adaptive modes.
+        """Map-style dispatch for both scheduler modes (DESIGN.md §12).
 
         Hands the oldest ready batch (supervisor requeues first) to the
-        first worker with a free claim slot, repeating until no worker
-        has capacity, the aggregate in-flight window is full, or the
-        book runs dry. Requeued batches bypass the aggregate cap — they
-        already sit inside the ``[rcvd, send)`` window."""
+        worker the scheduler places it on, repeating until placement
+        finds no free slot, the in-flight window is full, or the book
+        runs dry. Requeued batches bypass the window — they already sit
+        inside ``[rcvd, send)``."""
         sched = self._sched
+        book = self._book
         while True:
-            worker_id = sched.select_worker()
-            if worker_id is None:
-                return
             if (
-                not self._book.has_requeued()
+                not book.has_requeued()
                 and self._send_idx - self._rcvd_idx >= sched.max_inflight
             ):
                 return
-            drawn = self._book.draw()
-            if drawn is None:
+            batch_id = book.peek_id()
+            if batch_id is None:
                 return
-            batch_id, indices = drawn
+            worker_id = sched.select_worker(batch_id)
+            if worker_id is None:
+                return
+            _, indices = book.draw()
             self._task_info[batch_id] = (worker_id,)
             sched.on_dispatch(worker_id, batch_id)
             self._index_queues[worker_id].put((batch_id, indices))
@@ -1020,8 +999,10 @@ class _MultiWorkerIter:
         The old incarnation is cooperatively cancelled (and hard-killed
         on the process backend); its index queue is abandoned with a
         sentinel so a blocked thread wakes and exits. The replacement
-        keeps the worker id and seed stream and receives the in-flight
-        batches in batch-id order, so the replayed batches are
+        keeps the worker id and seed stream; the dead worker's in-flight
+        batches go back through the order book and the pump, oldest
+        first. Static's home placement returns them all to the
+        replacement in batch-id order, so the replayed batches are
         bit-identical to what the dead worker would have produced.
         """
         self._restarts_used += 1
@@ -1039,31 +1020,24 @@ class _MultiWorkerIter:
                 reason,
             )
         self._pool.respawn(worker_id)
+        # Sweep the dead worker's claims back through the order book;
+        # the pump re-dispatches them oldest-first (the reset worker has
+        # free slots, so at least the oldest goes out immediately). RNG
+        # keys on batch id, so whoever ends up executing a swept batch
+        # reproduces it bit-exactly.
         replay = self._outstanding_for(worker_id)
-        if self._sched is None:
-            # Static replay: same worker id, batch-id order — identical
-            # to what the dead incarnation would have produced.
-            for batch_id in replay:
-                self._index_queues[worker_id].put(
-                    (batch_id, self._book.indices_for(batch_id))
-                )
-        else:
-            # Sweep the dead worker's claims back through the order
-            # book; the pump re-dispatches them oldest-first (the reset
-            # worker has free slots, so at least the oldest goes out
-            # immediately). RNG keys on batch id, so whoever ends up
-            # executing a swept batch reproduces it bit-exactly.
+        if not self._sched.static:
             # Every outstanding batch counts as a reclaimed claim: the
             # WorkerClaim confirmation may never reach us (os._exit can
             # kill the mp queue's feeder thread before it flushes), so
             # the swept dispatch list is the authoritative tally.
             self._stats.stolen_claims_reclaimed += len(replay)
-            for batch_id in replay:
-                self._claims.pop(batch_id, None)
-                del self._task_info[batch_id]
-            self._sched.on_worker_reset(worker_id)
-            self._book.requeue(replay)
-            self._pump()
+        for batch_id in replay:
+            self._claims.pop(batch_id, None)
+            del self._task_info[batch_id]
+        self._sched.on_worker_reset(worker_id)
+        self._book.requeue(replay)
+        self._pump()
         if self._sink is not None:
             self._sink.write(
                 TraceRecord(
@@ -1237,11 +1211,12 @@ class _MultiWorkerIter:
                 continue
             self._note_activity(info[0])
             if self._sched is not None:
-                # Receipt frees one of the producer's claim slots: this
-                # is the steal site — dispatch the oldest undispatched
-                # batch to whichever worker now has capacity.
+                # Receipt frees one of the producer's claim slots. Under
+                # stealing this is the steal site — dispatch the oldest
+                # undispatched batch to whichever worker has capacity.
                 self._sched.on_receipt(info[0])
-                self._pump()
+                if not self._sched.static:
+                    self._pump()
             if isinstance(payload, IterableStreamEnd):
                 # This worker's iterable shard is exhausted; stop feeding
                 # it and skip the unfillable batch id when its turn comes.
@@ -1298,11 +1273,14 @@ class _MultiWorkerIter:
                 self._shutdown_workers()
                 raise StopIteration
             worker_id, data = self._next_data()
-            dispatched = self._book.complete(self._rcvd_idx)
-            self._claims.pop(self._rcvd_idx, None)
+            # Advance the cursor before any post-yield dispatch, so the
+            # window [rcvd, send) no longer counts the yielded batch.
+            batch_id = self._rcvd_idx
+            self._rcvd_idx += 1
+            dispatched = self._book.complete(batch_id)
+            self._claims.pop(batch_id, None)
             if isinstance(data, IterableStreamEnd):
                 # Unfillable batch id: skip it without yielding.
-                self._rcvd_idx += 1
                 continue
             batch_size = len(dispatched) if hasattr(dispatched, "__len__") else 0
             if isinstance(data, PartialBatch):
@@ -1315,7 +1293,6 @@ class _MultiWorkerIter:
                     # Every sample skipped: replenish and move on
                     # without a consumed record (nothing was consumed).
                     self._replenish(worker_id)
-                    self._rcvd_idx += 1
                     continue
                 data = payload
             else:
@@ -1324,63 +1301,56 @@ class _MultiWorkerIter:
         consumed_start = time.time_ns()
         # Shm transport: recycle the previous batch's slab slot and take
         # custody of this one's (acked on the *next* yield).
-        self._ack_slab(self._rcvd_idx)
+        self._ack_slab(batch_id)
         if self._loader.pin_memory:
             data = _pin_structure(data)
-        # Replenish: static sends one index batch to the worker that
-        # produced the consumed batch (paper § II-B); stealing re-pumps
-        # (and adaptive first lets the controller retune its depth).
         self._replenish(worker_id)
         if self._sink is not None:
             self._sink.write(
                 TraceRecord(
                     kind=KIND_BATCH_CONSUMED,
                     name="consume",
-                    batch_id=self._rcvd_idx,
+                    batch_id=batch_id,
                     worker_id=MAIN_PROCESS_WORKER_ID,
                     pid=self._pid,
                     start_ns=consumed_start,
                     duration_ns=max(0, time.time_ns() - consumed_start),
                 )
             )
-        self._emit_sched()
-        self._rcvd_idx += 1
+        self._emit_sched(batch_id)
         return data
 
     def _replenish(self, worker_id: int) -> None:
-        """Post-yield dispatch, per scheduler mode (DESIGN.md §12)."""
+        """Post-yield dispatch (DESIGN.md §12): the pump for map-style
+        datasets — static's only trigger besides startup and restart —
+        or one index batch to the producing worker of an iterable
+        stream (paper § II-B)."""
         if self._sched is None:
             self._try_put_index(worker_id)
-            return
-        controller = self._loader._prefetch_controller
-        if controller is not None:
-            # Retune *before* pumping so a depth change applies to the
-            # dispatches this yield triggers.
-            controller.on_yield()
-        self._pump()
+        else:
+            self._pump()
 
-    def _emit_sched(self) -> None:
+    def _emit_sched(self, batch_id: int) -> None:
         """Per-yield scheduler record ([T2] companion, DESIGN.md §12):
-        outstanding queue depth, steals since the last yield, and the
-        currently chosen per-worker depth. Emitted for every mode so
-        analysis can flag static runs that would benefit from stealing."""
+        outstanding queue depth after yielding ``batch_id``, steals
+        since the last yield, and the per-worker prefetch depth.
+        Emitted for every mode so analysis can flag static runs that
+        would benefit from stealing."""
         if self._sink is None:
             return
         loader = self._loader
-        if self._sched is not None:
-            depth = self._sched.chosen_depth
-            steals = self._sched.take_steal_delta()
-        else:
-            depth = loader.prefetch_factor
-            steals = 0
-        queue_depth = max(0, self._send_idx - self._rcvd_idx - 1)
+        steals = self._sched.take_steal_delta() if self._sched else 0
+        queue_depth = max(0, self._send_idx - self._rcvd_idx)
         self._sink.write(
             TraceRecord(
                 kind=KIND_SCHED,
                 name=format_sched_name(
-                    loader.scheduler, queue_depth, steals, depth
+                    loader.scheduler,
+                    queue_depth,
+                    steals,
+                    loader.prefetch_factor,
                 ),
-                batch_id=self._rcvd_idx,
+                batch_id=batch_id,
                 worker_id=MAIN_PROCESS_WORKER_ID,
                 pid=self._pid,
                 start_ns=time.time_ns(),

@@ -245,7 +245,7 @@ def create_fetcher(
     sample by sample and ignore them). ``buffer_depth`` is the loader's
     scheduler-governed ``batch_buffer_depth`` (DESIGN.md §12): the arena
     must cycle at least as many generations as batches this worker can
-    have in flight, which stealing/adaptive dispatch widens beyond the
+    have in flight, which stealing dispatch widens beyond the
     static ``prefetch_factor + 2``.
     """
     if buffer_depth < 1:

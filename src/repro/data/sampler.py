@@ -98,8 +98,8 @@ class DispatchOrderBook:
       draw — stamped with a monotonically increasing batch id on first
       draw; requeued batches keep their original id and indices, which
       is what makes restart replay deterministic.
-    * :meth:`indices_for` recalls the index list of any in-flight batch
-      (replay, partial-batch accounting).
+    * :meth:`peek_id` shows the id :meth:`draw` would hand out next, so
+      placement can pick a worker before the batch leaves the book.
     * :meth:`complete` retires a yielded batch.
 
     The book is pure main-process state: workers only ever see
@@ -113,11 +113,8 @@ class DispatchOrderBook:
         self._exhausted = False
         self._inflight: Dict[int, List[int]] = {}
         self._requeued: Deque[int] = deque()
-
-    @property
-    def next_batch_id(self) -> int:
-        """The id the next fresh draw will be stamped with."""
-        return self._next_id
+        # A fresh sampler draw already pulled by peek_id (not yet issued).
+        self._peeked: Optional[List[int]] = None
 
     @property
     def exhausted(self) -> bool:
@@ -137,23 +134,30 @@ class DispatchOrderBook:
         so schedulers must dispatch them even at the aggregate cap."""
         return bool(self._requeued)
 
+    def peek_id(self) -> Optional[int]:
+        """Id the next :meth:`draw` returns, or None if nothing is ready."""
+        if self._requeued:
+            return self._requeued[0]
+        if self._peeked is None and not self._exhausted:
+            try:
+                self._peeked = next(self._batches)
+            except StopIteration:
+                self._exhausted = True
+        return None if self._peeked is None else self._next_id
+
     def draw(self) -> Optional[Tuple[int, List[int]]]:
         """Oldest ready batch as ``(batch_id, indices)``, or None.
 
         Requeued batches win over fresh draws — they are older by
         construction (their ids were assigned earlier).
         """
+        batch_id = self.peek_id()
+        if batch_id is None:
+            return None
         if self._requeued:
-            batch_id = self._requeued.popleft()
+            self._requeued.popleft()
             return batch_id, self._inflight[batch_id]
-        if self._exhausted:
-            return None
-        try:
-            indices = next(self._batches)
-        except StopIteration:
-            self._exhausted = True
-            return None
-        batch_id = self._next_id
+        indices, self._peeked = self._peeked, None
         self._next_id += 1
         self._inflight[batch_id] = indices
         return batch_id, indices
@@ -166,9 +170,6 @@ class DispatchOrderBook:
                     f"cannot requeue unknown batch {batch_id}"
                 )
             self._requeued.append(batch_id)
-
-    def indices_for(self, batch_id: int) -> List[int]:
-        return self._inflight[batch_id]
 
     def complete(self, batch_id: int) -> List[int]:
         """Retire a yielded batch, returning its indices (or ``[]`` for

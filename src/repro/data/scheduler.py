@@ -1,58 +1,48 @@
-"""Pluggable batch-dispatch scheduling for the DataLoader (DESIGN.md §12).
+"""Batch-dispatch placement rules for the DataLoader (DESIGN.md §12).
 
-Three modes, selected with ``DataLoader(scheduler=...)``:
+Map-style datasets dispatch through one pump in the main process
+(``_MultiWorkerIter._pump``): it hands the oldest undispatched batch of
+the order book (:class:`~repro.data.sampler.DispatchOrderBook`) to a
+worker until placement refuses, the in-flight window is full, or the
+book runs dry. ``DataLoader(scheduler=...)`` picks the placement and
+trigger rules:
 
-* ``"static"`` — the PyTorch-shaped policy every earlier PR instrumented:
-  round-robin startup prefetch, then replenish-on-yield to the worker
-  that produced the consumed batch. Retained unchanged as the bit-exact
-  parity oracle.
-* ``"stealing"`` — receipt-driven work stealing. The main process keeps
-  the undispatched order book (:class:`~repro.data.sampler.
-  DispatchOrderBook`) and hands the *oldest* undispatched batch to the
-  first worker with a free claim slot the moment one of its payloads
-  arrives — instead of parking work behind a straggler in a static
-  per-worker queue. Per-worker claim slots stay at ``prefetch_factor``;
-  the aggregate in-flight bound widens to
-  :func:`scheduler_inflight_cap` so the other workers keep running
-  while a straggler batch blocks the yield cursor.
-* ``"adaptive"`` — stealing plus a closed-loop
-  :class:`PrefetchController` in the main process that consumes the
-  already-emitted per-batch [T2] wait, ``batch_transport``, and
-  ``cache_stats`` records *online* (a :class:`RecordTap` around the
-  loader's trace sink feeds a small ring; no log re-parse) and moves
-  the per-worker in-flight depth within ``[1, prefetch_factor + 2]``.
+* ``"static"`` — the PyTorch-shaped § II-B policy every figure
+  instruments. Batch ``b`` always goes to its home worker ``b % N``, the
+  window is ``N * prefetch_factor``, and the pump fires only at startup,
+  after a yield, and after a restart. That reproduces round-robin
+  startup prefetch plus replenish-to-producer exactly, so static stays
+  the bit-exact parity oracle.
+* ``"stealing"`` — the batch goes to the least-loaded worker with a
+  free claim slot (``prefetch_factor`` per worker), the window widens to
+  :func:`scheduler_inflight_cap`, and the pump also fires at every
+  payload receipt, so a straggler batch no longer starves the other
+  workers of work.
+
+Iterable datasets are per-worker streams: their placement decides the
+stream order, so they keep the static round-robin path and accept only
+``"static"``.
 
 Why the shared ready-deque lives in the main process: a literal shared
 ``mp.Queue`` that workers pull from would hold its internal lock while a
 worker blocks in ``get()``, so killing that worker (the §8 chaos tests
 do exactly this) leaves the queue poisoned for every sibling. Dispatch
 through the existing per-worker index queues keeps worker kill/restart
-semantics identical to the static oracle: the supervisor sweeps a dead
-worker's claims back into the order book and replays them elsewhere,
+semantics identical in both modes: the supervisor sweeps a dead
+worker's claims back into the order book and the pump replays them,
 which is safe because batch→RNG keying makes results independent of the
 executing worker (asserted by the parity tests, not assumed).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.lotustrace.records import (
-    KIND_BATCH_TRANSPORT,
-    KIND_BATCH_WAIT,
-    KIND_CACHE_STATS,
-    SCHED_ADAPTIVE,
-    SCHED_STATIC,
-    SCHED_STEALING,
-    parse_cache_stats_name,
-    parse_transport_name,
-)
+from repro.core.lotustrace.records import SCHED_STATIC, SCHED_STEALING
 from repro.errors import DataLoaderError
 
 #: Valid ``DataLoader(scheduler=...)`` values.
-SCHEDULER_CHOICES = (SCHED_STATIC, SCHED_STEALING, SCHED_ADAPTIVE)
+SCHEDULER_CHOICES = (SCHED_STATIC, SCHED_STEALING)
 
 
 def validate_scheduler(
@@ -60,17 +50,17 @@ def validate_scheduler(
 ) -> str:
     """Validate a scheduler mode against the loader configuration.
 
-    Stealing dispatch needs a main-process order book over a map-style
-    sampler — iterable datasets are per-worker streams with no batch to
-    steal, and a single-process loader has nobody to steal from — so
-    the non-static modes require ``num_workers > 0`` and a map-style
-    dataset. Raises :class:`DataLoaderError`; returns the mode.
+    Stealing needs a main-process order book over a map-style sampler —
+    iterable datasets are per-worker streams with no batch to steal, and
+    a single-process loader has nobody to steal from — so it requires
+    ``num_workers > 0`` and a map-style dataset. Raises
+    :class:`DataLoaderError`; returns the mode.
     """
     if scheduler not in SCHEDULER_CHOICES:
         raise DataLoaderError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULER_CHOICES}"
         )
-    if scheduler != SCHED_STATIC:
+    if scheduler == SCHED_STEALING:
         if num_workers == 0:
             raise DataLoaderError(
                 f"scheduler={scheduler!r} requires num_workers > 0 "
@@ -88,11 +78,10 @@ def validate_scheduler(
 def scheduler_inflight_cap(num_workers: int, prefetch_factor: int) -> int:
     """Aggregate dispatched-but-unconsumed bound for stealing dispatch.
 
-    ``num_workers * (prefetch_factor + 2)`` — the worker count times the
-    controller's maximum per-worker depth. Static dispatch holds the
-    aggregate at ``num_workers * prefetch_factor``; the widened cap is
-    what lets non-straggler workers keep executing while one slow batch
-    blocks the yield cursor.
+    ``num_workers * (prefetch_factor + 2)``: two batches of headroom per
+    worker over static's ``num_workers * prefetch_factor`` window, which
+    is what lets non-straggler workers keep executing while one slow
+    batch blocks the yield cursor.
     """
     return num_workers * (prefetch_factor + 2)
 
@@ -111,49 +100,48 @@ def scheduler_buffer_depth(num_workers: int, prefetch_factor: int) -> int:
 
 
 class StealingScheduler:
-    """Dispatch bookkeeping for ``stealing``/``adaptive`` modes.
+    """Placement and window rules of the dispatch pump, per mode.
 
     Pure policy state — the iterator owns the queues and the order
-    book. ``select_worker`` returns the least-loaded worker with a free
-    claim slot (ties to the lowest id, which makes the startup fill
-    reproduce static's round-robin order); ``on_dispatch`` counts a
-    *steal* whenever a batch lands off its round-robin home worker
-    ``batch_id % num_workers``, including supervisor replays after a
-    restart — that is what lets the per-yield ``sched`` records
-    reconcile steals across worker generations.
+    book. ``select_worker`` returns the home worker ``batch_id %
+    num_workers`` under static and, under stealing, the least-loaded
+    worker with a free claim slot (ties to the lowest id, which makes
+    the startup fill reproduce static's round-robin order).
+    ``on_dispatch`` counts a *steal* whenever a batch lands off its home
+    worker, including supervisor replays after a restart — that is what
+    lets the per-yield ``sched`` records reconcile steals across worker
+    generations. Static never steals.
     """
 
     def __init__(
         self,
         num_workers: int,
         prefetch_factor: int,
-        controller: Optional["PrefetchController"] = None,
+        mode: str = SCHED_STEALING,
     ) -> None:
         self.num_workers = num_workers
         self.prefetch_factor = prefetch_factor
-        self.controller = controller
-        self.max_inflight = scheduler_inflight_cap(num_workers, prefetch_factor)
+        #: Static: home placement, and the pump fires only at yield
+        #: (plus startup and restart), never at payload receipt.
+        self.static = mode == SCHED_STATIC
+        self.max_inflight = (
+            num_workers * prefetch_factor
+            if self.static
+            else scheduler_inflight_cap(num_workers, prefetch_factor)
+        )
         self._outstanding: List[int] = [0] * num_workers
-        self.dispatches = 0
         self.steals = 0
         self._steal_delta = 0
-
-    @property
-    def chosen_depth(self) -> int:
-        """Current per-worker claim-slot depth (controller-driven when
-        adaptive, ``prefetch_factor`` otherwise)."""
-        if self.controller is not None:
-            return self.controller.depth
-        return self.prefetch_factor
 
     def outstanding(self, worker_id: int) -> int:
         return self._outstanding[worker_id]
 
-    def select_worker(self) -> Optional[int]:
-        """Least-outstanding worker with a free claim slot, or None."""
-        depth = self.chosen_depth
+    def select_worker(self, batch_id: int) -> Optional[int]:
+        """Where ``batch_id`` goes next, or None when no slot is free."""
+        if self.static:
+            return batch_id % self.num_workers
         best = None
-        best_load = depth
+        best_load = self.prefetch_factor
         for worker_id, load in enumerate(self._outstanding):
             if load < best_load:
                 best, best_load = worker_id, load
@@ -161,7 +149,6 @@ class StealingScheduler:
 
     def on_dispatch(self, worker_id: int, batch_id: int) -> None:
         self._outstanding[worker_id] += 1
-        self.dispatches += 1
         if worker_id != batch_id % self.num_workers:
             self.steals += 1
             self._steal_delta += 1
@@ -179,178 +166,3 @@ class StealingScheduler:
         delta = self._steal_delta
         self._steal_delta = 0
         return delta
-
-
-class PrefetchController:
-    """Closed-loop per-worker in-flight depth tuner (``adaptive`` mode).
-
-    Consumes the loader's own trace stream online through a
-    :class:`RecordTap` ring — the [T2] ``batch_wait`` records say
-    whether the consumer is starving, ``cache_stats`` records say
-    whether decode cost is still volatile (misses), and
-    ``batch_transport`` records bound the memory a deeper pipeline
-    would pin. AIMD over ``[1, prefetch_factor + 2]``:
-
-    * raise the depth when the recent *blocking* wait share of
-      wall-clock exceeds ``RAISE_WAIT_SHARE`` (stragglers are starving
-      the main process — buy more lookahead);
-    * lower it when waits are negligible **and** most batches arrive
-      out of order (lookahead is pure memory pressure) — but never
-      while the cache hit rate is below ``LOWER_MIN_HIT_RATE`` (cold
-      caches mean per-batch cost is about to change) and never when the
-      extra depth's payload-byte footprint is already small.
-
-    Without a trace sink there are no records to observe and the depth
-    stays at ``prefetch_factor`` — the control loop is explicitly
-    trace-driven (DESIGN.md §12).
-    """
-
-    RAISE_WAIT_SHARE = 0.10
-    LOWER_WAIT_SHARE = 0.01
-    LOWER_OOO_FRAC = 0.5
-    LOWER_MIN_HIT_RATE = 0.5
-
-    def __init__(
-        self,
-        num_workers: int,
-        prefetch_factor: int,
-        ring_size: int = 64,
-        adjust_interval: Optional[int] = None,
-        memory_hint_bytes: int = 256 << 20,
-    ) -> None:
-        self.min_depth = 1
-        self.max_depth = prefetch_factor + 2
-        self.depth = min(max(prefetch_factor, self.min_depth), self.max_depth)
-        self.num_workers = num_workers
-        self.adjustments = 0
-        self._adjust_interval = adjust_interval or max(2, num_workers)
-        self._yields_since_adjust = 0
-        #: (start_ns, duration_ns, out_of_order) per recent wait record.
-        self._waits: Deque[Tuple[int, int, bool]] = deque(maxlen=ring_size)
-        self._payload_bytes: Deque[int] = deque(maxlen=ring_size)
-        #: (hits, misses) deltas per recent cache_stats record.
-        self._cache: Deque[Tuple[int, int]] = deque(maxlen=ring_size)
-        self._memory_hint_bytes = memory_hint_bytes
-        # Thread-backend workers share the RecordTap sink, so observe()
-        # runs on worker threads while on_yield() reads the rings on the
-        # main thread — without the lock CPython raises "deque mutated
-        # during iteration" mid-epoch.
-        self._lock = threading.Lock()
-
-    # -- online record feed (called by RecordTap on the emit path) -------------
-    def observe(self, record) -> None:
-        if record.kind == KIND_BATCH_WAIT:
-            with self._lock:
-                self._waits.append(
-                    (record.start_ns, record.duration_ns, record.out_of_order)
-                )
-        elif record.kind == KIND_BATCH_TRANSPORT:
-            payload_bytes = parse_transport_name(record.name)[1]
-            with self._lock:
-                self._payload_bytes.append(payload_bytes)
-        elif record.kind == KIND_CACHE_STATS:
-            parsed = parse_cache_stats_name(record.name)
-            with self._lock:
-                self._cache.append((parsed[1], parsed[2]))
-
-    # -- recent-window signals -------------------------------------------------
-    def recent_wait_share(self) -> float:
-        """Blocking [T2] time as a share of the ring's wall-clock span."""
-        with self._lock:
-            if len(self._waits) < 2:
-                return 0.0
-            span = (
-                self._waits[-1][0] + self._waits[-1][1] - self._waits[0][0]
-            )
-            if span <= 0:
-                return 0.0
-            blocking = sum(d for _, d, ooo in self._waits if not ooo)
-        return min(1.0, blocking / span)
-
-    def recent_ooo_fraction(self) -> float:
-        with self._lock:
-            if not self._waits:
-                return 0.0
-            return sum(1 for *_x, ooo in self._waits if ooo) / len(self._waits)
-
-    def recent_hit_rate(self) -> Optional[float]:
-        """Cache hit rate over the ring, or None without cache records."""
-        with self._lock:
-            if not self._cache:
-                return None
-            hits = sum(h for h, _ in self._cache)
-            misses = sum(m for _, m in self._cache)
-        total = hits + misses
-        return hits / total if total else 1.0
-
-    def recent_payload_bytes(self) -> float:
-        with self._lock:
-            if not self._payload_bytes:
-                return 0.0
-            return sum(self._payload_bytes) / len(self._payload_bytes)
-
-    # -- the control loop ------------------------------------------------------
-    def on_yield(self) -> int:
-        """Adjust (at most once per ``adjust_interval`` yields) and
-        return the chosen per-worker depth."""
-        self._yields_since_adjust += 1
-        if (
-            self._yields_since_adjust < self._adjust_interval
-            or len(self._waits) < self._adjust_interval
-        ):
-            return self.depth
-        self._yields_since_adjust = 0
-        wait_share = self.recent_wait_share()
-        if wait_share > self.RAISE_WAIT_SHARE:
-            projected = (
-                self.recent_payload_bytes()
-                * self.num_workers
-                * (self.depth + 1)
-            )
-            if self.depth < self.max_depth and (
-                projected <= self._memory_hint_bytes
-            ):
-                self.depth += 1
-                self.adjustments += 1
-        elif (
-            wait_share < self.LOWER_WAIT_SHARE
-            and self.recent_ooo_fraction() >= self.LOWER_OOO_FRAC
-            and self.depth > self.min_depth
-        ):
-            hit_rate = self.recent_hit_rate()
-            if hit_rate is None or hit_rate >= self.LOWER_MIN_HIT_RATE:
-                self.depth -= 1
-                self.adjustments += 1
-        return self.depth
-
-
-class RecordTap:
-    """Trace-sink wrapper feeding a :class:`PrefetchController` online.
-
-    Wraps the loader's sink so every record emitted in the main process
-    (and, on the thread backend, by workers sharing the sink object)
-    flows through :meth:`PrefetchController.observe` as it is written —
-    the controller never re-reads the log. Process-backend children
-    reopen the log *path* (the pool unwraps the tap before handing it
-    over), so there the controller sees the main-side records: [T2]
-    waits and the consumed markers, which is exactly the signal the
-    depth decision needs.
-    """
-
-    def __init__(self, inner, controller: PrefetchController) -> None:
-        self.inner = inner
-        self.controller = controller
-
-    @property
-    def path(self) -> str:
-        return self.inner.path
-
-    def write(self, record) -> None:
-        self.inner.write(record)
-        self.controller.observe(record)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()

@@ -23,7 +23,7 @@ Slab lifecycle: each worker generation owns ``depth`` deterministically
 named slots, where ``depth`` is the loader's scheduler-governed
 ``batch_buffer_depth`` (DESIGN.md §12): ``prefetch_factor + 2`` under
 static dispatch, widened to ``num_workers * (prefetch_factor + 2) + 2``
-under stealing/adaptive, where one worker can transiently own every
+under stealing, where one worker can transiently own every
 in-flight batch. Slot segments are created lazily and recycled through a
 free list, so the wider universe costs shm only for concurrency that
 actually happens. A worker takes a free slot per published batch and gets it

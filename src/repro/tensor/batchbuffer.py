@@ -38,7 +38,7 @@ class BatchBuffer:
             batch (single-consumer discipline); multi-worker loaders pass
             the scheduler-governed ``batch_buffer_depth`` —
             ``prefetch_factor + 2`` under static dispatch, widened for
-            stealing/adaptive where one worker can transiently own every
+            stealing where one worker can transiently own every
             in-flight batch (DESIGN.md §12) — so a batch is never
             overwritten while it can still be in flight on the data
             queue or held by the consumer.

@@ -101,6 +101,27 @@ class TestOpenTraceLog:
         assert isinstance(sink, LotusLogWriter)
         sink.close()
 
+    def test_open_file_handle_raises(self, tmp_path):
+        with open(tmp_path / "x.log", "w") as handle:
+            with pytest.raises(TraceError, match="TextIOWrapper"):
+                open_trace_log(handle)
+
+    def test_duck_typed_sink_raises(self):
+        class WrapperSink:
+            path = "<wrapped>"
+
+            def write(self, record):
+                pass
+
+            def flush(self):
+                pass
+
+            def close(self):
+                pass
+
+        with pytest.raises(TraceError, match="WrapperSink"):
+            open_trace_log(WrapperSink())
+
 
 class TestParsing:
     def test_skips_blank_lines(self):

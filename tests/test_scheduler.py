@@ -1,12 +1,13 @@
-"""Scheduling layer (DESIGN.md §12): order book, stealing, autotuning.
+"""Scheduling layer (DESIGN.md §12): order book, placement, stealing.
 
-Covers the ISSUE 10 acceptance grid: all three ``DataLoader(scheduler=)``
-modes bit-identical to the static oracle across both worker backends,
-both process transports, and all three cache modes; the ``sched`` trace
-record round-trip through both analysis engines; claim accounting; and
-the chaos scenario — killing a worker that holds stolen claims must
-restart cleanly with zero lost or duplicated batches, zero /dev/shm
-leaks, and sched records that reconcile steals across generations.
+Covers the acceptance grid: ``scheduler="stealing"`` bit-identical to
+the static oracle across both worker backends, both process transports,
+and all three cache modes; static's § II-B dispatch pattern read from
+the public trace; the ``sched`` trace record round-trip through both
+analysis engines; claim accounting; and the chaos scenario — killing a
+worker that holds stolen claims must restart cleanly with zero lost or
+duplicated batches, zero /dev/shm leaks, and sched records that
+reconcile steals across generations.
 """
 
 import glob
@@ -17,18 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.lotustrace import (
-    KIND_BATCH_TRANSPORT,
-    KIND_BATCH_WAIT,
-    KIND_CACHE_STATS,
+    KIND_BATCH_PREPROCESSED,
     KIND_SCHED,
     MAIN_PROCESS_WORKER_ID,
     SCHED_STATIC,
     TraceColumns,
-    TraceRecord,
     analyze_trace,
-    format_cache_stats_name,
     format_sched_name,
-    format_transport_name,
     parse_sched_name,
     parse_trace_file,
 )
@@ -39,7 +35,6 @@ from repro.data import (
     FaultPlan,
     FaultSite,
     IterableDataset,
-    PrefetchController,
     StealingScheduler,
     TensorDataset,
 )
@@ -110,8 +105,9 @@ class TestValidateScheduler:
             assert validate_scheduler(mode, 2, False) == mode
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(DataLoaderError, match="unknown scheduler"):
-            DataLoader(SkewedDataset(), num_workers=2, scheduler="rr")
+        for mode in ("rr", "adaptive"):  # adaptive was removed
+            with pytest.raises(DataLoaderError, match="unknown scheduler"):
+                DataLoader(SkewedDataset(), num_workers=2, scheduler=mode)
 
     def test_stealing_needs_workers(self):
         with pytest.raises(DataLoaderError, match="num_workers"):
@@ -123,7 +119,7 @@ class TestValidateScheduler:
                 return iter([np.zeros(1, dtype=np.float32)])
 
         with pytest.raises(DataLoaderError, match="map-style"):
-            DataLoader(Stream(), num_workers=2, scheduler="adaptive")
+            DataLoader(Stream(), num_workers=2, scheduler="stealing")
 
     def test_static_single_process_allowed(self):
         loader = DataLoader(SkewedDataset(), scheduler="static")
@@ -174,10 +170,23 @@ class TestDispatchOrderBook:
         with pytest.raises(DataLoaderError, match="unknown batch"):
             book.requeue([7])
 
+    def test_peek_id_shows_next_draw(self):
+        book = self.make_book()
+        assert book.peek_id() == 0
+        assert book.peek_id() == 0  # peeking does not consume
+        assert book.draw() == (0, [0, 1])
+        book.draw()
+        book.requeue([0])
+        assert book.peek_id() == 0  # requeues first
+        assert book.draw() == (0, [0, 1])
+        assert book.peek_id() == 2
+        book.draw()
+        assert book.peek_id() is None
+        assert book.exhausted
+
     def test_complete_retires(self):
         book = self.make_book()
         book.draw()
-        assert book.indices_for(0) == [0, 1]
         assert book.complete(0) == [0, 1]
         assert book.inflight_count() == 0
         # Ids the book never issued resolve to [] (iterable sentinels).
@@ -201,12 +210,24 @@ class TestStealingScheduler:
         sched = StealingScheduler(4, 2)
         placed = []
         for batch_id in range(8):
-            worker = sched.select_worker()
+            worker = sched.select_worker(batch_id)
             sched.on_dispatch(worker, batch_id)
             placed.append(worker)
         assert placed == [0, 1, 2, 3, 0, 1, 2, 3]
         assert sched.steals == 0
-        assert sched.select_worker() is None  # all claim slots full
+        assert sched.select_worker(8) is None  # all claim slots full
+        assert sched.max_inflight == scheduler_inflight_cap(4, 2)
+
+    def test_static_places_on_home_worker(self):
+        sched = StealingScheduler(4, 2, SCHED_STATIC)
+        assert sched.max_inflight == 8
+        for batch_id in range(12):
+            worker = sched.select_worker(batch_id)
+            assert worker == batch_id % 4
+            sched.on_dispatch(worker, batch_id)
+        # Home placement ignores claim slots: the window bounds static.
+        assert sched.select_worker(13) == 1
+        assert sched.steals == 0
 
     def test_steal_counting_and_delta(self):
         sched = StealingScheduler(4, 2)
@@ -222,9 +243,9 @@ class TestStealingScheduler:
         sched = StealingScheduler(2, 1)
         sched.on_dispatch(0, 0)
         sched.on_dispatch(1, 1)
-        assert sched.select_worker() is None
+        assert sched.select_worker(2) is None
         sched.on_receipt(1)
-        assert sched.select_worker() == 1
+        assert sched.select_worker(2) == 1
 
     def test_worker_reset_clears_outstanding(self):
         sched = StealingScheduler(2, 1)
@@ -232,96 +253,15 @@ class TestStealingScheduler:
         sched.on_dispatch(1, 1)
         sched.on_worker_reset(0)
         assert sched.outstanding(0) == 0
-        assert sched.select_worker() == 0
-
-    def test_adaptive_depth_follows_controller(self):
-        controller = PrefetchController(2, 2)
-        sched = StealingScheduler(2, 2, controller=controller)
-        assert sched.chosen_depth == 2
-        controller.depth = 4
-        assert sched.chosen_depth == 4
+        assert sched.select_worker(2) == 0
 
 
-# -- PrefetchController -------------------------------------------------------
-
-
-def _wait(start_ns, duration_ns, ooo=False):
-    return TraceRecord(
-        kind=KIND_BATCH_WAIT, name="batch_wait", batch_id=0, worker_id=-1,
-        pid=1, start_ns=start_ns, duration_ns=duration_ns, out_of_order=ooo,
-    )
-
-
-def _stats_record(kind, name):
-    return TraceRecord(
-        kind=kind, name=name, batch_id=0, worker_id=-1, pid=1,
-        start_ns=0, duration_ns=0,
-    )
-
-
-class TestPrefetchController:
-    def test_raises_depth_on_blocking_waits(self):
-        ctl = PrefetchController(2, 2, adjust_interval=2)
-        for i in range(4):
-            ctl.observe(_wait(i * 1000, 900))  # ~90% blocking share
-        assert ctl.on_yield() == 2  # first yield: interval not reached
-        assert ctl.on_yield() == 3
-        assert ctl.adjustments == 1
-
-    def test_depth_capped_at_prefetch_plus_two(self):
-        ctl = PrefetchController(2, 2, adjust_interval=2)
-        for round_no in range(20):
-            ctl.observe(_wait(round_no * 1000, 900))
-            ctl.on_yield()
-        assert ctl.depth == ctl.max_depth == 4
-
-    def test_lowers_depth_when_waits_negligible_and_ooo(self):
-        ctl = PrefetchController(2, 2, adjust_interval=2)
-        for i in range(8):
-            ctl.observe(_wait(i * 1_000_000, 1000, ooo=True))
-        ctl.on_yield()
-        assert ctl.on_yield() == 1
-        assert ctl.depth == ctl.min_depth == 1
-        for _ in range(8):  # floor holds
-            ctl.on_yield()
-        assert ctl.depth == 1
-
-    def test_cold_cache_blocks_lowering(self):
-        ctl = PrefetchController(2, 2, adjust_interval=2)
-        for i in range(8):
-            ctl.observe(_wait(i * 1_000_000, 1000, ooo=True))
-        ctl.observe(_stats_record(
-            KIND_CACHE_STATS, format_cache_stats_name("shared", 1, 9, 0, 0, 0)
-        ))
-        ctl.on_yield()
-        assert ctl.on_yield() == 2  # hit rate 0.1 < 0.5: keep lookahead
-
-    def test_memory_hint_blocks_raising(self):
-        ctl = PrefetchController(
-            2, 2, adjust_interval=2, memory_hint_bytes=1024
-        )
-        ctl.observe(_stats_record(
-            KIND_BATCH_TRANSPORT, format_transport_name("shm", 4096, 0)
-        ))
-        for i in range(4):
-            ctl.observe(_wait(i * 1000, 900))
-        ctl.on_yield()
-        assert ctl.on_yield() == 2
-        assert ctl.adjustments == 0
-
-    def test_no_records_keeps_depth_at_prefetch_factor(self):
-        ctl = PrefetchController(4, 3)
-        for _ in range(32):
-            assert ctl.on_yield() == 3
-        assert ctl.adjustments == 0
-
-
-# -- parity: every mode is bit-identical to the static oracle -----------------
+# -- parity: stealing is bit-identical to the static oracle -------------------
 
 
 class TestSchedulerParity:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("scheduler", ["stealing", "adaptive"])
+    @pytest.mark.parametrize("scheduler", ["stealing"])
     def test_modes_match_static_oracle(self, backend, scheduler):
         reference, _ = _epoch_arrays(backend, "static")
         candidate, _ = _epoch_arrays(backend, scheduler)
@@ -380,7 +320,7 @@ class TestSchedulerCacheParity:
     def test_thread_shared_cache_matches_oracle(self, image_blobs):
         reference = self.run(image_blobs, "static", "shared", backend="thread")
         candidate = self.run(
-            image_blobs, "adaptive", "shared", backend="thread"
+            image_blobs, "stealing", "shared", backend="thread"
         )
         for (img_a, _), (img_b, _) in zip(reference, candidate):
             np.testing.assert_array_equal(img_a, img_b)
@@ -425,12 +365,6 @@ class TestSchedRecords:
         assert all(0 <= q <= iterator._sched.max_inflight
                    for _, q, _, _ in parsed)
 
-    def test_adaptive_depth_stays_in_bounds(self, tmp_path):
-        records, _ = self.run_logged("adaptive", tmp_path)
-        stats = analyze_trace(records).sched_stats()["adaptive"]
-        assert stats.batches == N_BATCHES
-        assert 1 <= stats.min_chosen_depth <= stats.max_chosen_depth <= 4
-
     def test_both_engines_agree(self, tmp_path):
         records, _ = self.run_logged("stealing", tmp_path)
         via_records = analyze_trace(records).sched_stats()
@@ -442,8 +376,105 @@ class TestSchedRecords:
     def test_malformed_sched_name_raises(self):
         with pytest.raises(TraceError, match="malformed sched"):
             parse_sched_name("stealing;q1;bogus;d2")
+        # Mode-agnostic: records of the removed adaptive mode still parse.
         mode, q, s, d = parse_sched_name(format_sched_name("adaptive", 5, 1, 3))
         assert (mode, q, s, d) == ("adaptive", 5, 1, 3)
+
+
+# -- static dispatch pattern (the § II-B shape figs 3 and 5 depend on) --------
+
+
+class TestStaticDispatchPattern:
+    """Read from the public trace: static places batch ``b`` on its home
+    worker ``b % N``, and the queue depth after yielding batch ``r`` is
+    ``min(prefetch_factor * N, n - r - 1)`` — round-robin startup
+    prefetch plus one replenishment per yield."""
+
+    def run_logged(self, tmp_path, dataset, num_workers, prefetch_factor,
+                   **kwargs):
+        log = str(tmp_path / "static.trace")
+        loader = DataLoader(
+            dataset, batch_size=2, num_workers=num_workers,
+            prefetch_factor=prefetch_factor, worker_backend="thread",
+            log_file=log, **kwargs,
+        )
+        for _ in loader:
+            pass
+        loader.close()
+        return parse_trace_file(log), loader
+
+    def assert_static_pattern(self, records, num_workers, prefetch_factor,
+                              n_batches, skipped_batches=()):
+        preprocessed = [
+            r for r in records if r.kind == KIND_BATCH_PREPROCESSED
+        ]
+        assert sorted(r.batch_id for r in preprocessed) == list(
+            range(n_batches)
+        )
+        for record in preprocessed:
+            assert record.worker_id == record.batch_id % num_workers
+        sched = [r for r in records if r.kind == KIND_SCHED]
+        yielded = [
+            b for b in range(n_batches) if b not in skipped_batches
+        ]
+        assert [r.batch_id for r in sched] == yielded
+        for record in sched:
+            _, queue_depth, steals, _ = parse_sched_name(record.name)
+            assert steals == 0
+            assert queue_depth == min(
+                prefetch_factor * num_workers,
+                n_batches - record.batch_id - 1,
+            )
+
+    @pytest.mark.parametrize(
+        "num_workers,prefetch_factor,n_batches",
+        [(4, 2, 8), (3, 3, 13), (2, 1, 7)],
+    )
+    def test_home_placement_and_queue_depth(
+        self, tmp_path, num_workers, prefetch_factor, n_batches
+    ):
+        values = np.arange(2 * n_batches, dtype=np.float32).reshape(-1, 1)
+        records, _ = self.run_logged(
+            tmp_path, TensorDataset(values), num_workers, prefetch_factor
+        )
+        self.assert_static_pattern(
+            records, num_workers, prefetch_factor, n_batches
+        )
+
+    def test_whole_batch_skipped(self, tmp_path):
+        n_batches = 10
+        values = np.arange(2 * n_batches, dtype=np.float32).reshape(-1, 1)
+        plan = FaultPlan(
+            seed=0,
+            sites=tuple(
+                FaultSite(kind="corrupt", sample_index=i) for i in (6, 7)
+            ),
+        )
+        records, loader = self.run_logged(
+            tmp_path, FaultInjectingDataset(TensorDataset(values), plan),
+            3, 2, failure_policy="skip_sample",
+        )
+        assert loader.fault_stats.skipped_indices == [6, 7]
+        self.assert_static_pattern(
+            records, 3, 2, n_batches, skipped_batches=(3,)
+        )
+
+    def test_crash_restart_replays_on_home_worker(self, tmp_path):
+        n_batches = 12
+        values = np.arange(2 * n_batches, dtype=np.float32).reshape(-1, 1)
+        plan = FaultPlan(
+            seed=0, sites=(FaultSite(kind="crash", sample_index=9),)
+        )
+        records, loader = self.run_logged(
+            tmp_path, FaultInjectingDataset(TensorDataset(values), plan),
+            2, 2, max_worker_restarts=1, hang_timeout_s=20.0,
+        )
+        stats = loader.fault_stats
+        assert stats.worker_restarts == 1
+        assert stats.claims_confirmed == 0
+        assert stats.stolen_claims_reclaimed == 0
+        assert stats.delivered_samples == 2 * n_batches
+        self.assert_static_pattern(records, 2, 2, n_batches)
 
 
 # -- claim accounting ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Reimplements the PyTorch DataLoader machinery the paper instruments, with
 the same internal structure: a ``worker_loop`` driving dataset *fetchers*,
-one index queue per worker, a single shared data queue, startup
+one index queue per worker, a data queue back to the main process
+(shared by thread workers, one per process worker), startup
 prefetching governed by ``prefetch_factor``, and out-of-order arrival
 caching with pinning in the main process. Batch dispatch has two modes
 (DESIGN.md §12): ``scheduler="static"`` keeps the paper's § II-B policy —

@@ -21,7 +21,9 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import threading
-from typing import Any, Callable, Optional
+import time
+from multiprocessing.connection import wait as wait_for_readers
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import DataLoaderError
 
@@ -43,6 +45,89 @@ class WorkerHandle:
         return f"WorkerHandle({self.raw!r})"
 
 
+class SharedDataChannel:
+    """Thread workers' data channel: one ``queue.Queue`` for all.
+
+    A cancelled thread may still put a late payload after its
+    replacement started; the supervisor drops those by generation."""
+
+    def __init__(self) -> None:
+        self._queue: queue_module.Queue = queue_module.Queue()
+
+    def for_worker(self, worker_id: int) -> queue_module.Queue:
+        return self._queue
+
+    def replace(self, worker_id: int) -> None:
+        """No-op: a thread cannot die holding the queue's lock."""
+
+    def get(self, timeout: float, readable: Callable[[int], bool]) -> Tuple:
+        """Next message from any worker; raises ``queue.Empty`` after
+        ``timeout`` seconds."""
+        return self._queue.get(timeout=timeout)
+
+    def drain(self, readable: Callable[[int], bool]) -> int:
+        return ThreadWorkerBackend.drain_queue(self._queue)
+
+    def close(self) -> None:
+        """No-op: ``queue.Queue`` holds no fd or feeder thread."""
+
+
+class PerWorkerDataChannels:
+    """Process workers' data channels: one mp queue per worker.
+
+    The main process multiplexes the queues' pipe readers with
+    ``multiprocessing.connection.wait``. A dead worker's channel is
+    never read (``readable`` says no): the worker may have died
+    mid-message, and a read would block on bytes that never come. Its
+    unread payloads are not needed — the supervisor replays every batch
+    the worker had not delivered — and :meth:`replace` swaps in a fresh
+    queue for the replacement incarnation.
+    """
+
+    def __init__(self, ctx: Any, num_workers: int) -> None:
+        self._ctx = ctx
+        self._queues: List[Any] = [ctx.Queue() for _ in range(num_workers)]
+        self._next = 0  # round-robin start, so no worker starves
+
+    def for_worker(self, worker_id: int) -> Any:
+        return self._queues[worker_id]
+
+    def replace(self, worker_id: int) -> None:
+        old = self._queues[worker_id]
+        self._queues[worker_id] = self._ctx.Queue()
+        ProcessWorkerBackend.close_queue(old)
+
+    def get(self, timeout: float, readable: Callable[[int], bool]) -> Tuple:
+        """Next message from a live worker's channel; raises
+        ``queue.Empty`` after ``timeout`` seconds without one."""
+        count = len(self._queues)
+        order = [(self._next + k) % count for k in range(count)]
+        # ``_reader`` is the receiving end of the queue's pipe.
+        readers = {
+            self._queues[i]._reader: i for i in order if readable(i)
+        }
+        if not readers:
+            time.sleep(timeout)
+            raise queue_module.Empty
+        ready = set(wait_for_readers(list(readers), timeout))
+        for reader, worker_id in readers.items():
+            if reader in ready:
+                self._next = (worker_id + 1) % count
+                return self._queues[worker_id].get_nowait()
+        raise queue_module.Empty
+
+    def drain(self, readable: Callable[[int], bool]) -> int:
+        return sum(
+            ProcessWorkerBackend.drain_queue(q)
+            for i, q in enumerate(self._queues)
+            if readable(i)
+        )
+
+    def close(self) -> None:
+        for q in self._queues:
+            ProcessWorkerBackend.close_queue(q)
+
+
 class ThreadWorkerBackend:
     """Workers as daemon threads in the current process."""
 
@@ -51,6 +136,9 @@ class ThreadWorkerBackend:
 
     def make_queue(self) -> queue_module.Queue:
         return queue_module.Queue()
+
+    def make_data_channels(self, num_workers: int) -> SharedDataChannel:
+        return SharedDataChannel()
 
     def start_worker(
         self, target: Callable, args: tuple, kwargs: dict, name: str
@@ -77,7 +165,8 @@ class ThreadWorkerBackend:
         restart paths send one."""
         handle.cancel_flag.set()
 
-    def drain_queue(self, queue: queue_module.Queue) -> int:
+    @staticmethod
+    def drain_queue(queue: queue_module.Queue) -> int:
         """Discard everything currently readable from ``queue``."""
         drained = 0
         while True:
@@ -87,7 +176,8 @@ class ThreadWorkerBackend:
                 return drained
             drained += 1
 
-    def close_queue(self, queue: queue_module.Queue) -> None:
+    @staticmethod
+    def close_queue(queue: queue_module.Queue) -> None:
         """No-op: ``queue.Queue`` has no feeder thread or fd to release."""
 
 
@@ -112,6 +202,9 @@ class ProcessWorkerBackend:
 
     def make_queue(self):
         return self._ctx.Queue()
+
+    def make_data_channels(self, num_workers: int) -> PerWorkerDataChannels:
+        return PerWorkerDataChannels(self._ctx, num_workers)
 
     def start_worker(
         self, target: Callable, args: tuple, kwargs: dict, name: str
@@ -141,7 +234,8 @@ class ProcessWorkerBackend:
         if handle.raw.is_alive():
             handle.raw.terminate()
 
-    def drain_queue(self, queue: Any) -> int:
+    @staticmethod
+    def drain_queue(queue: Any) -> int:
         """Discard everything currently readable from ``queue``.
 
         Shutdown calls this between join attempts so a worker blocked in
@@ -159,7 +253,8 @@ class ProcessWorkerBackend:
                 return drained
             drained += 1
 
-    def close_queue(self, queue: Any) -> None:
+    @staticmethod
+    def close_queue(queue: Any) -> None:
         """Release an mp queue's resources without blocking on its feeder.
 
         ``cancel_join_thread`` first: a plain ``close`` would leave the

@@ -3,8 +3,10 @@
 Replicates the structure the paper instruments (§ II-B):
 
 * the main process coordinates; each worker owns an *index queue* (main →
-  worker) and all workers share one *data queue* (worker → main);
-* batches can arrive on the shared data queue out of order; the main
+  worker) and sends results on a *data queue* (worker → main): thread
+  workers share one, process workers each have their own, so a worker
+  that dies mid-send cannot stall its siblings;
+* batches can arrive on the data queues out of order; the main
   process pins them to CPU memory, caches them, and keeps polling until
   the *desired* batch id is at hand — the source of the wait/delay
   pathologies of § V-C2.
@@ -646,7 +648,11 @@ class _WorkerPool:
         self.index_queues = [
             self.backend.make_queue() for _ in range(loader.num_workers)
         ]
-        self.data_queue = self.backend.make_queue()
+        # One channel per process worker, one shared queue for threads
+        # (backends.py): a hard death poisons only its own channel.
+        self.data_channels = self.backend.make_data_channels(
+            loader.num_workers
+        )
         self.dirty = False
         self._closed = False
         #: Restart generation per worker id; bumped by :meth:`respawn` so
@@ -705,7 +711,7 @@ class _WorkerPool:
                 worker_id,
                 loader.dataset,
                 self.index_queues[worker_id],
-                self.data_queue,
+                self.data_channels.for_worker(worker_id),
                 loader.collate_fn,
             ),
             kwargs={
@@ -729,7 +735,9 @@ class _WorkerPool:
 
         The replacement keeps the worker id (and therefore the RNG seed
         stream) but gets a *new* index queue — the old queue may hold
-        tasks a hung worker will eventually drain — and a bumped
+        tasks a hung worker will eventually drain — a new data channel
+        on the process backend (the dead worker may have died holding
+        its old channel's write lock, or mid-message), and a bumped
         generation. The dead generation's shm slabs are unlinked here
         (the supervisor is the single unlink owner; already-resolved
         views stay valid through the main process's mappings) and the
@@ -740,6 +748,7 @@ class _WorkerPool:
         dead_generation = self.generations[worker_id]
         self.generations[worker_id] += 1
         self.index_queues[worker_id] = self.backend.make_queue()
+        self.data_channels.replace(worker_id)
         if self._loader._shared_cache is not None:
             # Sweep the dead incarnation out of the shared cache before
             # its replacement (same reader id, bumped generation) starts:
@@ -781,10 +790,11 @@ class _WorkerPool:
         """Send sentinels, drain-and-join every worker, escalate only to
         stragglers, then release queues and shared-memory (idempotent).
 
-        The data queue is drained *between* join attempts: a worker
-        blocked in ``data_queue.put`` (queue full, epoch abandoned) can
-        then complete the put, reach its sentinel, and exit cleanly —
-        previously it ate the hard ``terminate()`` fallback every time.
+        Live workers' data channels are drained *between* join
+        attempts: a worker blocked in ``data_queue.put`` (queue full,
+        epoch abandoned) can then complete the put, reach its sentinel,
+        and exit cleanly — previously it ate the hard ``terminate()``
+        fallback every time.
         Afterwards the mp queues are released with ``cancel_join_thread``
         + ``close`` so no feeder thread blocks interpreter exit, and
         every worker's current slab generation is unlinked.
@@ -797,7 +807,7 @@ class _WorkerPool:
         for worker_id, handle in enumerate(self.workers):
             deadline = time.monotonic() + DEFAULT_WORKER_JOIN_TIMEOUT_S
             while True:
-                self.backend.drain_queue(self.data_queue)
+                self.data_channels.drain(self.is_alive)
                 self.backend.join(handle, timeout=0.2)
                 if not self.backend.is_alive(handle):
                     break
@@ -817,12 +827,14 @@ class _WorkerPool:
 
     def _release_transport(self) -> None:
         """Close queues and reclaim shm after the workers have quiesced."""
-        queues: List[Any] = list(self.index_queues) + [self.data_queue]
+        queues: List[Any] = list(self.index_queues)
         if self.ack_queues is not None:
             queues.extend(self.ack_queues)
         for q in queues:
             self.backend.drain_queue(q)
             self.backend.close_queue(q)
+        self.data_channels.drain(self.is_alive)
+        self.data_channels.close()
         if self.transport_mode == TRANSPORT_SHM:
             for worker_id in range(self.num_workers):
                 unlink_worker_generation(
@@ -834,6 +846,9 @@ class _WorkerPool:
                 )
             if self.main_transport is not None:
                 self.main_transport.close()
+
+    def is_alive(self, worker_id: int) -> bool:
+        return self.backend.is_alive(self.workers[worker_id])
 
     @property
     def closed(self) -> bool:
@@ -853,7 +868,7 @@ class _MultiWorkerIter:
         self._pool = pool if pool is not None else _WorkerPool(loader)
         self._backend = self._pool.backend
         self._index_queues = self._pool.index_queues
-        self._data_queue = self._pool.data_queue
+        self._data_channels = self._pool.data_channels
         self._workers = self._pool.workers
         # The order book fronts the batch sampler: it stamps batch ids,
         # retains dispatched indices until yield (restart replay /
@@ -1069,8 +1084,8 @@ class _MultiWorkerIter:
                     f"for batch {self._rcvd_idx}"
                 )
             try:
-                batch_id, payload = self._data_queue.get(
-                    timeout=min(0.1, max(remaining, 0.01))
+                batch_id, payload = self._data_channels.get(
+                    min(0.1, max(remaining, 0.01)), self._pool.is_alive
                 )
             except queue_module.Empty:
                 continue

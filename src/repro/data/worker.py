@@ -3,7 +3,8 @@
 The main process forks/starts workers that each run :func:`worker_loop`:
 create a dataset fetcher once, then repeatedly take ``(batch_id,
 indices)`` tasks from this worker's index queue, fetch-and-collate, and
-put ``(batch_id, payload)`` on the shared data queue.
+put ``(batch_id, payload)`` on its data channel (one queue shared by
+thread workers, a queue of its own per process worker).
 
 Queue protocol (main -> worker): ``(batch_id, indices)`` tuples, or the
 dedicated :data:`SHUTDOWN_SENTINEL` object to stop the worker — a

@@ -7,11 +7,14 @@ the numbers motivating fine-grained (sub-sampling-interval) tracing.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.lotustrace import InMemoryTraceLog
-from repro.experiments.common import run_traced_epoch
+from repro.core.lotustrace import analyze_trace, parse_trace_file_columns
+from repro.data.backends import PROCESS_BACKEND
+from repro.utils.blas import blas_thread_limit
 from repro.utils.stats import Summary, fraction_below
 from repro.utils.timeunits import ms_to_ns, ns_to_ms, us_to_ns
 from repro.workloads import (
@@ -72,37 +75,39 @@ def run_table2(
     num_workers: int = 2,
     seed: int = 0,
 ) -> Table2Result:
-    """Run IC/IS/OD traced epochs and compute Table II rows."""
+    """Run IC/IS/OD traced epochs and compute Table II rows.
+
+    Workers are processes with one BLAS thread each, the paper's PyTorch
+    setup (PyTorch gives every loader worker one intra-op thread). On
+    thread workers a short op's elapsed time absorbs the other workers'
+    interpreter time through the GIL, and with a full BLAS thread pool
+    per caller the matmul-based ops measure core oversubscription: on a
+    2-core host RandomResizedCrop's mean swung 1-6 ms run to run.
+    """
     result = Table2Result()
     # Table II is per-operation-per-sample timing — run the per-sample
     # engine, not the batched fast path (DESIGN.md §7).
     builders = {
-        "IC": lambda log: build_ic_pipeline(
-            profile=profile,
-            num_workers=num_workers,
-            log_file=log,
-            seed=seed,
-            batched_execution=False,
-        ),
-        "IS": lambda log: build_is_pipeline(
-            profile=profile,
-            num_workers=num_workers,
-            log_file=log,
-            seed=seed,
-            batched_execution=False,
-        ),
-        "OD": lambda log: build_od_pipeline(
-            profile=profile,
-            num_workers=num_workers,
-            log_file=log,
-            seed=seed,
-            batched_execution=False,
-        ),
+        "IC": build_ic_pipeline,
+        "IS": build_is_pipeline,
+        "OD": build_od_pipeline,
     }
-    for name, builder in builders.items():
-        log = InMemoryTraceLog()
-        analysis = run_traced_epoch(builder(log))
-        result.pipelines[name] = _rows_from_analysis(analysis)
+    # Forked workers inherit the BLAS limit.
+    with tempfile.TemporaryDirectory() as log_dir, blas_thread_limit(1):
+        for name, builder in builders.items():
+            log_path = os.path.join(log_dir, f"{name}.log")
+            bundle = builder(
+                profile=profile,
+                num_workers=num_workers,
+                log_file=log_path,
+                seed=seed,
+                batched_execution=False,
+                worker_backend=PROCESS_BACKEND,
+            )
+            bundle.run_epoch()
+            bundle.log_target.close()
+            analysis = analyze_trace(parse_trace_file_columns(log_path))
+            result.pipelines[name] = _rows_from_analysis(analysis)
     return result
 
 

@@ -8,6 +8,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.lotustrace.logfile import PathLike, TraceSink, open_trace_log
+from repro.data.backends import THREAD_BACKEND
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import BlobImageDataset
 from repro.datasets.synthetic import (
@@ -81,6 +82,7 @@ def build_ic_pipeline(
     remote_latency_s: float = 0.0,
     remote_bandwidth_mb_s: float = 0.0,
     batched_execution: Optional[bool] = None,
+    worker_backend: str = THREAD_BACKEND,
 ) -> PipelineBundle:
     """Image classification: the paper's Listing 1 pipeline.
 
@@ -126,6 +128,7 @@ def build_ic_pipeline(
         log_file=log_file,
         seed=seed,
         batched_execution=batched_execution,
+        worker_backend=worker_backend,
     )
     model = ResNet18Like(profile.model_scale)
     trainer = Trainer(make_gpus(n_gpus), model)
@@ -140,6 +143,7 @@ def build_is_pipeline(
     log_file: Union[PathLike, TraceSink, None] = None,
     seed: int = 0,
     batched_execution: Optional[bool] = None,
+    worker_backend: str = THREAD_BACKEND,
 ) -> PipelineBundle:
     """Image segmentation: KiTS19-style volumes through the MLPerf chain."""
     if cases is None:
@@ -168,6 +172,7 @@ def build_is_pipeline(
         log_file=log_file,
         seed=seed,
         batched_execution=batched_execution,
+        worker_backend=worker_backend,
     )
     model = UNet3DLike(profile.model_scale)
     trainer = Trainer(make_gpus(n_gpus), model)
@@ -182,6 +187,7 @@ def build_od_pipeline(
     log_file: Union[PathLike, TraceSink, None] = None,
     seed: int = 0,
     batched_execution: Optional[bool] = None,
+    worker_backend: str = THREAD_BACKEND,
 ) -> PipelineBundle:
     """Object detection: like IC but Resize instead of resize-and-crop."""
     if dataset is None:
@@ -225,6 +231,7 @@ def build_od_pipeline(
         log_file=log_file,
         seed=seed,
         batched_execution=batched_execution,
+        worker_backend=worker_backend,
     )
     model = GeneralizedRCNNLike(profile.model_scale)
     trainer = Trainer(make_gpus(n_gpus), model)

@@ -7,16 +7,23 @@ TRANSPORT_BENCH_JSON := .bench_transport.json
 CACHE_BENCH_JSON := .bench_cache.json
 SCHED_BENCH_JSON := .bench_sched.json
 
-.PHONY: test bench bench-check bench-baseline decode-bench transport-bench \
-	cache-bench sched-bench fault-check help
+.PHONY: test examples bench bench-check bench-baseline decode-bench \
+	transport-bench cache-bench sched-bench fault-check help
 
 test:
 	$(PYTHON) -m pytest -x -q
 
+# Run every example script end to end; they read compare, autoreport and
+# the Chrome export, so a change that breaks their output fails here.
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; $(PYTHON) $$script > /dev/null; \
+	done
+
 # Self-describing gate table: every tracked median and same-run speedup
 # floor bench-check enforces, straight from check_regression.py.
 help:
-	@echo "targets: test fault-check bench bench-check bench-baseline"
+	@echo "targets: test examples fault-check bench bench-check bench-baseline"
 	@echo "         decode-bench transport-bench cache-bench sched-bench"
 	@echo ""
 	@$(PYTHON) benchmarks/check_regression.py --list

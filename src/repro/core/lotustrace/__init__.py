@@ -80,12 +80,8 @@ from repro.core.lotustrace.records import (
     TRANSPORT_PICKLE,
     TRANSPORT_SHM,
     TraceRecord,
-    format_cache_stats_name,
-    format_sched_name,
-    format_transport_name,
-    parse_cache_stats_name,
-    parse_sched_name,
-    parse_transport_name,
+    format_counter_name,
+    parse_counter_name,
 )
 from repro.core.lotustrace.spans import Span, build_spans, span_name
 
@@ -136,12 +132,8 @@ __all__ = [
     "TraceRecord",
     "TransportStats",
     "analyze_trace",
-    "format_cache_stats_name",
-    "format_sched_name",
-    "format_transport_name",
-    "parse_cache_stats_name",
-    "parse_sched_name",
-    "parse_transport_name",
+    "format_counter_name",
+    "parse_counter_name",
     "augment_profiler_trace",
     "build_spans",
     "open_trace_log",

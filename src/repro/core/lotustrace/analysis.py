@@ -18,33 +18,33 @@ non-negative ``batch_id`` carried on the record wins, otherwise the op
 is matched by time containment against the ``batch_preprocessed``
 spans of its worker (bisection over spans sorted by start, using a
 prefix maximum of span ends — equivalent to the first-match linear
-scan, in O(log n) per op).
+scan, in O(log n) per op). Both fold the counter kinds (batch transport,
+decoded-sample cache, scheduler) through one reduction table,
+:data:`COUNTER_REDUCTIONS`.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.core.lotustrace.columns import (
-    FAULT_KIND_CODES,
-    KIND_CODE_BATCH_TRANSPORT,
-    KIND_CODE_CACHE_STATS,
     KIND_CODE_CONSUMED,
-    KIND_CODE_HEARTBEAT,
     KIND_CODE_OP,
     KIND_CODE_PREPROCESSED,
-    KIND_CODE_SCHED,
     KIND_CODE_WAIT,
-    KIND_CODE_WORKER_RESTART,
-    KIND_STRINGS,
     TraceColumns,
 )
 from repro.core.lotustrace.engine import ENGINE_RECORDS, current_engine
 from repro.core.lotustrace.records import (
+    COUNTER_TAGS,
+    FAULT_KIND_CODES,
     FAULT_KINDS,
     KIND_BATCH_CONSUMED,
     KIND_BATCH_PREPROCESSED,
@@ -54,13 +54,16 @@ from repro.core.lotustrace.records import (
     KIND_OP,
     KIND_SAMPLE_SKIPPED,
     KIND_SCHED,
+    KIND_STRINGS,
+    KIND_TO_CODE,
     TraceRecord,
-    parse_cache_stats_name,
-    parse_sched_name,
-    parse_transport_name,
+    parse_counter_name,
 )
 from repro.errors import TraceError
 from repro.utils.stats import Summary, fraction_below, summarize
+from repro.utils.timeunits import format_ns
+
+_MIB = 1024.0 * 1024.0
 
 
 @dataclass
@@ -101,7 +104,9 @@ class BatchFlow:
 
 @dataclass(frozen=True)
 class TransportStats:
-    """Aggregated batch hand-off cost for one carrier mode."""
+    """Aggregated batch hand-off cost for one carrier mode (DESIGN.md §10)."""
+
+    label: ClassVar[str] = "transport"
 
     transport: str
     batches: int
@@ -113,16 +118,19 @@ class TransportStats:
     def bytes_per_batch(self) -> float:
         return self.payload_bytes / self.batches if self.batches else 0.0
 
+    def describe(self) -> str:
+        return (
+            f"{self.batches} batches, {self.payload_bytes / _MIB:.1f} MiB, "
+            f"{self.copies} copies, {format_ns(self.publish_time_ns)} publish"
+        )
+
 
 @dataclass(frozen=True)
 class CacheTraceStats:
-    """Aggregated decoded-sample cache activity for one cache mode.
+    """Aggregated decoded-sample cache activity for one cache mode
+    (DESIGN.md §11): summed per-batch counters, peak pinned bytes."""
 
-    Each ``cache_stats`` record (DESIGN.md §11) carries per-batch hit,
-    miss, cross-worker-hit, and eviction counts plus a pinned-bytes
-    gauge in its name; this sums the counters across the trace and
-    keeps the gauge's maximum.
-    """
+    label: ClassVar[str] = "cache"
 
     mode: str
     batches: int
@@ -137,17 +145,23 @@ class CacheTraceStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def describe(self) -> str:
+        return (
+            f"{self.hits} hits / {self.misses} misses "
+            f"({self.hit_rate:.0%} hit rate, {self.cross_worker_hits} "
+            f"cross-worker), {self.evictions} evictions, "
+            f"{self.max_pinned_bytes / _MIB:.1f} MiB pinned peak"
+        )
+
 
 @dataclass(frozen=True)
 class SchedTraceStats:
-    """Aggregated batch-scheduler activity for one scheduler mode.
+    """Aggregated batch-scheduler activity for one scheduler mode
+    (DESIGN.md §12): summed steal deltas, queue-depth max and total, and
+    the per-worker depth range (one point at ``prefetch_factor`` for
+    current loaders)."""
 
-    Each ``sched`` record (DESIGN.md §12) carries the dispatched-but-
-    unconsumed queue depth after a yield, that yield's steal delta, and
-    the per-worker prefetch depth in its name; this sums the steal
-    deltas, keeps the queue-depth extremum/total, and the depth range
-    (a single point at ``prefetch_factor`` for current loaders).
-    """
+    label: ClassVar[str] = "sched"
 
     mode: str
     batches: int
@@ -161,6 +175,98 @@ class SchedTraceStats:
     def mean_queue_depth(self) -> float:
         return self.total_queue_depth / self.batches if self.batches else 0.0
 
+    def describe(self) -> str:
+        depth = f"depth {self.min_chosen_depth}"
+        if self.min_chosen_depth != self.max_chosen_depth:
+            depth += f"-{self.max_chosen_depth}"
+        return (
+            f"{self.batches} batches, {self.steals} steals, "
+            f"queue mean {self.mean_queue_depth:.1f} / max "
+            f"{self.max_queue_depth}, {depth}"
+        )
+
+
+#: Source of a stats field that is the records' summed ``duration_ns``
+#: rather than a tag of their name.
+DURATION = "duration_ns"
+
+#: How each counter kind's stats fields reduce over its records:
+#: ``(field, reduction, source)``, with ``source`` a name tag or
+#: :data:`DURATION`. ``batches`` is always the record count.
+COUNTER_REDUCTIONS = {
+    KIND_BATCH_TRANSPORT: (TransportStats, (
+        ("payload_bytes", "sum", "b"),
+        ("copies", "sum", "c"),
+        ("publish_time_ns", "sum", DURATION),
+    )),
+    KIND_CACHE_STATS: (CacheTraceStats, (
+        ("hits", "sum", "h"),
+        ("misses", "sum", "m"),
+        ("cross_worker_hits", "sum", "x"),
+        ("evictions", "sum", "e"),
+        ("max_pinned_bytes", "max", "p"),
+    )),
+    KIND_SCHED: (SchedTraceStats, (
+        ("steals", "sum", "s"),
+        ("max_queue_depth", "max", "q"),
+        ("total_queue_depth", "sum", "q"),
+        ("min_chosen_depth", "min", "d"),
+        ("max_chosen_depth", "max", "d"),
+    )),
+}
+
+_REDUCE = {"sum": operator.add, "max": max, "min": min}
+
+#: A run of same-named counter records: ``(name, count, duration_total)``.
+CounterGroup = Tuple[str, int, int]
+
+
+def fold_counter_groups(kind: str, groups: Iterable[CounterGroup]) -> Dict[str, Any]:
+    """Per-mode stats of one counter kind, keyed by mode.
+
+    Every record in a group has the group's name, so a tag contributes
+    ``value * count`` to a sum and ``value`` to a min or max; the
+    duration arrives already summed. Both engines call this: the records
+    engine with one group per record, the columnar one with one group
+    per interned name.
+    """
+    stats_cls, rows = COUNTER_REDUCTIONS[kind]
+    tags = COUNTER_TAGS[kind]
+    totals: Dict[str, List[Optional[int]]] = {}
+    for name, count, duration_ns in groups:
+        mode, *values = parse_counter_name(kind, name)
+        by_tag = dict(zip(tags, values))
+        acc = totals.get(mode)
+        if acc is None:
+            acc = totals[mode] = [0] + [None] * len(rows)
+        acc[0] += count
+        for i, (_, reduction, source) in enumerate(rows, 1):
+            if source == DURATION:
+                value = duration_ns
+            elif reduction == "sum":
+                value = by_tag[source] * count
+            else:
+                value = by_tag[source]
+            acc[i] = value if acc[i] is None else _REDUCE[reduction](acc[i], value)
+    return {
+        mode: stats_cls(
+            mode, acc[0], **{row[0]: value for row, value in zip(rows, acc[1:])}
+        )
+        for mode, acc in totals.items()
+    }
+
+
+#: Kinds that make up a batch's flow; every other non-op kind is
+#: bookkeeping kept aside, since routing it into the flows would
+#: fabricate phantom batches (e.g. batch -1).
+_FLOW_KINDS = (KIND_BATCH_PREPROCESSED, KIND_BATCH_WAIT, KIND_BATCH_CONSUMED)
+_BOOKKEEPING_KINDS = frozenset(KIND_STRINGS) - {KIND_OP, *_FLOW_KINDS}
+
+
+def _check_non_flow(kind: str) -> None:
+    if kind not in _BOOKKEEPING_KINDS:
+        raise TraceError(f"not a bookkeeping record kind: {kind!r}")
+
 
 @dataclass
 class TraceAnalysis:
@@ -169,21 +275,8 @@ class TraceAnalysis:
     batches: Dict[int, BatchFlow]
     op_durations: Dict[str, List[int]]
     op_batch_ids: Dict[str, List[int]] = field(default_factory=dict)
-    #: Fault-tolerance records (restarts, skips, retries, heartbeats) in
-    #: record order; they never contribute to the batch flows above.
-    fault_records: List[TraceRecord] = field(default_factory=list)
-    #: Batch-transport records (DESIGN.md §10) in record order; like
-    #: fault records they describe the hand-off machinery, not a batch's
-    #: preprocessing journey, so they stay out of the flows.
-    transport_records: List[TraceRecord] = field(default_factory=list)
-    #: Decoded-sample cache records (DESIGN.md §11) in record order;
-    #: one per fetched batch per carrier, kept out of the flows for the
-    #: same reason as fault and transport records.
-    cache_records: List[TraceRecord] = field(default_factory=list)
-    #: Batch-scheduler records (DESIGN.md §12) in record order; one per
-    #: yielded batch from the main process, kept out of the flows for
-    #: the same reason as the other bookkeeping kinds.
-    sched_records: List[TraceRecord] = field(default_factory=list)
+    #: Fault (§8) and counter (§10-§12) records by kind, in record order.
+    other_records: Dict[str, List[TraceRecord]] = field(default_factory=dict)
 
     # -- per-batch series ------------------------------------------------------
     def preprocess_times_ns(self) -> List[int]:
@@ -250,100 +343,49 @@ class TraceAnalysis:
         """Total CPU time per operation across the trace (Figure 6b/6e)."""
         return {name: sum(values) for name, values in self.op_durations.items()}
 
-    # -- fault-tolerance records (DESIGN.md §8) ------------------------------
+    # -- bookkeeping records: faults (§8) and counters (§10-§12) -------------
+    def records_of(self, kind: str) -> List[TraceRecord]:
+        """Records of one fault or counter kind, in record order."""
+        _check_non_flow(kind)
+        return self.other_records.get(kind, [])
+
     def fault_counts(self) -> Dict[str, int]:
         """Count of fault records per kind (kinds absent from the trace
         are absent from the dict, so clean traces give ``{}``)."""
-        counts: Dict[str, int] = {}
-        for record in self.fault_records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
+        return {
+            kind: len(records)
+            for kind, records in self.other_records.items()
+            if kind in FAULT_KINDS
+        }
 
     def skipped_sample_indices(self) -> List[int]:
         """Dataset indices dropped by the ``skip_sample`` policy, in
         record order (the index rides in the record name, ``sample=N``)."""
         return [
             int(record.name.partition("=")[2])
-            for record in self.fault_records
-            if record.kind == KIND_SAMPLE_SKIPPED
+            for record in self.records_of(KIND_SAMPLE_SKIPPED)
         ]
 
-    # -- batch transport (DESIGN.md §10) -------------------------------------
+    def counter_stats(self, kind: str) -> Dict[str, Any]:
+        """Per-mode stats of one counter kind (see
+        :data:`COUNTER_REDUCTIONS`); ``{}`` when the trace has none."""
+        return fold_counter_groups(kind, self._counter_groups(kind))
+
+    def _counter_groups(self, kind: str) -> Iterable[CounterGroup]:
+        # One group per record: the per-record oracle.
+        return ((r.name, 1, r.duration_ns) for r in self.records_of(kind))
+
     def transport_stats(self) -> Dict[str, TransportStats]:
-        """Per-carrier hand-off totals, keyed by transport mode.
+        """Per-carrier hand-off totals (DESIGN.md §10), by transport mode."""
+        return self.counter_stats(KIND_BATCH_TRANSPORT)
 
-        One ``batch_transport`` record per shipped batch carries the
-        mode, payload bytes, and copy count in its name (see
-        :func:`~repro.core.lotustrace.records.parse_transport_name`);
-        ``duration_ns`` is the worker-side publish cost. Traces without
-        transport records (single-process loaders, pre-§10 logs) give
-        ``{}``.
-        """
-        totals: Dict[str, List[int]] = {}
-        for record in self.transport_records:
-            mode, payload_bytes, copies = parse_transport_name(record.name)
-            acc = totals.setdefault(mode, [0, 0, 0, 0])
-            acc[0] += 1
-            acc[1] += payload_bytes
-            acc[2] += copies
-            acc[3] += record.duration_ns
-        return {
-            mode: TransportStats(mode, n, nbytes, copies, time_ns)
-            for mode, (n, nbytes, copies, time_ns) in totals.items()
-        }
+    def cache_stats(self) -> Dict[str, CacheTraceStats]:
+        """Per-mode decoded-sample cache totals (DESIGN.md §11)."""
+        return self.counter_stats(KIND_CACHE_STATS)
 
-    # -- decoded-sample cache (DESIGN.md §11) --------------------------------
-    def cache_stats(self) -> Dict[str, "CacheTraceStats"]:
-        """Per-mode decoded-sample cache totals, keyed by cache mode.
-
-        One ``cache_stats`` record per fetched batch carries the mode
-        and per-batch counter deltas in its name (see
-        :func:`~repro.core.lotustrace.records.parse_cache_stats_name`).
-        Traces without cache records (no ``CachingLoader``) give ``{}``.
-        """
-        totals: Dict[str, List[int]] = {}
-        for record in self.cache_records:
-            mode, hits, misses, cross, evictions, pinned = (
-                parse_cache_stats_name(record.name)
-            )
-            acc = totals.setdefault(mode, [0, 0, 0, 0, 0, 0])
-            acc[0] += 1
-            acc[1] += hits
-            acc[2] += misses
-            acc[3] += cross
-            acc[4] += evictions
-            acc[5] = max(acc[5], pinned)
-        return {
-            mode: CacheTraceStats(mode, n, h, m, x, e, p)
-            for mode, (n, h, m, x, e, p) in totals.items()
-        }
-
-    # -- batch scheduler (DESIGN.md §12) -------------------------------------
-    def sched_stats(self) -> Dict[str, "SchedTraceStats"]:
-        """Per-mode scheduler totals, keyed by scheduler mode.
-
-        One ``sched`` record per yielded batch carries the mode, queue
-        depth, steal delta, and per-worker prefetch depth in its name (see
-        :func:`~repro.core.lotustrace.records.parse_sched_name`).
-        Traces without sched records (single-process loaders, pre-§12
-        logs) give ``{}``.
-        """
-        totals: Dict[str, List[int]] = {}
-        for record in self.sched_records:
-            mode, queue_depth, steals, chosen = parse_sched_name(record.name)
-            acc = totals.setdefault(
-                mode, [0, 0, 0, 0, chosen, chosen]
-            )
-            acc[0] += 1
-            acc[1] += steals
-            acc[2] = max(acc[2], queue_depth)
-            acc[3] += queue_depth
-            acc[4] = min(acc[4], chosen)
-            acc[5] = max(acc[5], chosen)
-        return {
-            mode: SchedTraceStats(mode, n, s, mq, tq, dmin, dmax)
-            for mode, (n, s, mq, tq, dmin, dmax) in totals.items()
-        }
+    def sched_stats(self) -> Dict[str, SchedTraceStats]:
+        """Per-mode scheduler totals (DESIGN.md §12)."""
+        return self.counter_stats(KIND_SCHED)
 
 
 class _SpanIndex:
@@ -383,36 +425,15 @@ def _analyze_records(records: List[TraceRecord]) -> TraceAnalysis:
     """The record-list engine (parity oracle for the columnar path)."""
     batches: Dict[int, BatchFlow] = {}
     op_records: List[TraceRecord] = []
-    fault_records: List[TraceRecord] = []
-    transport_records: List[TraceRecord] = []
-    cache_records: List[TraceRecord] = []
-    sched_records: List[TraceRecord] = []
+    other_records: Dict[str, List[TraceRecord]] = {}
     fetch_spans: Dict[int, List[TraceRecord]] = {}
 
     for record in records:
         if record.kind == KIND_OP:
             op_records.append(record)
             continue
-        if record.kind in FAULT_KINDS:
-            # Restarts/skips/retries/heartbeats describe the recovery
-            # machinery, not a batch's journey — routing them into the
-            # flows would fabricate phantom batches (e.g. batch -1).
-            fault_records.append(record)
-            continue
-        if record.kind == KIND_BATCH_TRANSPORT:
-            # Hand-off cost records: kept aside like fault records so a
-            # transport record alone never fabricates a batch flow.
-            transport_records.append(record)
-            continue
-        if record.kind == KIND_CACHE_STATS:
-            # Decoded-sample cache counters (§11): zero-width bookkeeping
-            # records that would otherwise fabricate phantom flows.
-            cache_records.append(record)
-            continue
-        if record.kind == KIND_SCHED:
-            # Scheduler bookkeeping (§12): one zero-width record per
-            # yield, kept aside like the other non-flow kinds.
-            sched_records.append(record)
+        if record.kind not in _FLOW_KINDS:
+            other_records.setdefault(record.kind, []).append(record)
             continue
         flow = batches.setdefault(record.batch_id, BatchFlow(record.batch_id))
         if record.kind == KIND_BATCH_PREPROCESSED:
@@ -443,10 +464,7 @@ def _analyze_records(records: List[TraceRecord]) -> TraceAnalysis:
         batches=batches,
         op_durations=op_durations,
         op_batch_ids=op_batch_ids,
-        fault_records=fault_records,
-        transport_records=transport_records,
-        cache_records=cache_records,
-        sched_records=sched_records,
+        other_records=other_records,
     )
 
 
@@ -636,145 +654,33 @@ class ColumnarTraceAnalysis(TraceAnalysis):
             self.__dict__["_op_batch_ids_cache"] = cached
         return cached
 
-    @property
-    def fault_records(self) -> List[TraceRecord]:  # type: ignore[override]
-        cached = self.__dict__.get("_fault_records_cache")
+    def records_of(self, kind: str) -> List[TraceRecord]:
+        _check_non_flow(kind)
+        cache = self.__dict__.setdefault("_records_of_cache", {})
+        cached = cache.get(kind)
         if cached is None:
             cols = self.columns
-            # The fault codes are the contiguous band between the four
-            # base codes and the transport code.
-            rows = np.flatnonzero(
-                (cols.kind >= KIND_CODE_WORKER_RESTART)
-                & (cols.kind <= KIND_CODE_HEARTBEAT)
-            )
-            cached = [cols.record_at(int(row)) for row in rows.tolist()]
-            self.__dict__["_fault_records_cache"] = cached
+            rows = np.flatnonzero(cols.kind == KIND_TO_CODE[kind])
+            cached = cache[kind] = [cols.record_at(row) for row in rows.tolist()]
         return cached
 
-    @property
-    def transport_records(self) -> List[TraceRecord]:  # type: ignore[override]
-        cached = self.__dict__.get("_transport_records_cache")
-        if cached is None:
-            cols = self.columns
-            rows = np.flatnonzero(cols.kind == KIND_CODE_BATCH_TRANSPORT)
-            cached = [cols.record_at(int(row)) for row in rows.tolist()]
-            self.__dict__["_transport_records_cache"] = cached
-        return cached
-
-    @property
-    def cache_records(self) -> List[TraceRecord]:  # type: ignore[override]
-        cached = self.__dict__.get("_cache_records_cache")
-        if cached is None:
-            cols = self.columns
-            rows = np.flatnonzero(cols.kind == KIND_CODE_CACHE_STATS)
-            cached = [cols.record_at(int(row)) for row in rows.tolist()]
-            self.__dict__["_cache_records_cache"] = cached
-        return cached
-
-    @property
-    def sched_records(self) -> List[TraceRecord]:  # type: ignore[override]
-        cached = self.__dict__.get("_sched_records_cache")
-        if cached is None:
-            cols = self.columns
-            rows = np.flatnonzero(cols.kind == KIND_CODE_SCHED)
-            cached = [cols.record_at(int(row)) for row in rows.tolist()]
-            self.__dict__["_sched_records_cache"] = cached
-        return cached
-
-    def sched_stats(self) -> Dict[str, "SchedTraceStats"]:
-        """Vectorized per-mode totals over the interned sched names.
-
-        Unlike transport/cache names, sched names vary per yield (the
-        queue depth moves), so interning buys less — but the groupby
-        over name ids with ``np.bincount`` is still exact: each distinct
-        name is parsed once and weighted by its record count.
-        """
+    def _counter_groups(self, kind: str) -> Iterable[CounterGroup]:
+        """One group per interned name: counts and summed durations by
+        ``np.bincount`` over name ids, so each distinct name parses once."""
         cols = self.columns
-        rows = np.flatnonzero(cols.kind == KIND_CODE_SCHED)
+        rows = np.flatnonzero(cols.kind == KIND_TO_CODE[kind])
         if rows.size == 0:
-            return {}
-        counts = np.bincount(cols.name_id[rows], minlength=len(cols.names))
-        totals: Dict[str, List[int]] = {}
-        for nid in np.flatnonzero(counts).tolist():
-            mode, queue_depth, steals, chosen = parse_sched_name(
-                cols.names[nid]
-            )
-            n = int(counts[nid])
-            acc = totals.setdefault(mode, [0, 0, 0, 0, chosen, chosen])
-            acc[0] += n
-            acc[1] += steals * n
-            acc[2] = max(acc[2], queue_depth)
-            acc[3] += queue_depth * n
-            acc[4] = min(acc[4], chosen)
-            acc[5] = max(acc[5], chosen)
-        return {
-            mode: SchedTraceStats(mode, n, s, mq, tq, dmin, dmax)
-            for mode, (n, s, mq, tq, dmin, dmax) in totals.items()
-        }
-
-    def cache_stats(self) -> Dict[str, "CacheTraceStats"]:
-        """Vectorized per-mode totals over the interned cache names.
-
-        The counter deltas are constant per interned name, so the
-        groupby runs over name ids (one parse per distinct name) with
-        ``np.bincount`` — same totals as the record loop. The pinned
-        gauge takes the max over distinct names, which equals the max
-        over records since every record of a name carries the same
-        gauge value.
-        """
-        cols = self.columns
-        rows = np.flatnonzero(cols.kind == KIND_CODE_CACHE_STATS)
-        if rows.size == 0:
-            return {}
-        counts = np.bincount(cols.name_id[rows], minlength=len(cols.names))
-        totals: Dict[str, List[int]] = {}
-        for nid in np.flatnonzero(counts).tolist():
-            mode, hits, misses, cross, evictions, pinned = (
-                parse_cache_stats_name(cols.names[nid])
-            )
-            n = int(counts[nid])
-            acc = totals.setdefault(mode, [0, 0, 0, 0, 0, 0])
-            acc[0] += n
-            acc[1] += hits * n
-            acc[2] += misses * n
-            acc[3] += cross * n
-            acc[4] += evictions * n
-            acc[5] = max(acc[5], pinned)
-        return {
-            mode: CacheTraceStats(mode, n, h, m, x, e, p)
-            for mode, (n, h, m, x, e, p) in totals.items()
-        }
-
-    def transport_stats(self) -> Dict[str, "TransportStats"]:
-        """Vectorized per-mode totals over the interned transport names.
-
-        Bytes and copy counts are constant per interned name, so the
-        groupby runs over name ids (one parse per distinct name) with
-        ``np.bincount`` sums — same totals as the record loop.
-        """
-        cols = self.columns
-        rows = np.flatnonzero(cols.kind == KIND_CODE_BATCH_TRANSPORT)
-        if rows.size == 0:
-            return {}
+            return ()
         name_ids = cols.name_id[rows]
         counts = np.bincount(name_ids, minlength=len(cols.names))
         durations = np.bincount(
             name_ids, weights=cols.duration_ns[rows].astype(np.float64),
             minlength=len(cols.names),
         ).astype(np.int64)
-        totals: Dict[str, List[int]] = {}
-        for nid in np.flatnonzero(counts).tolist():
-            mode, payload_bytes, copies = parse_transport_name(cols.names[nid])
-            n = int(counts[nid])
-            acc = totals.setdefault(mode, [0, 0, 0, 0])
-            acc[0] += n
-            acc[1] += payload_bytes * n
-            acc[2] += copies * n
-            acc[3] += int(durations[nid])
-        return {
-            mode: TransportStats(mode, n, nbytes, copies, time_ns)
-            for mode, (n, nbytes, copies, time_ns) in totals.items()
-        }
+        return [
+            (cols.names[nid], int(counts[nid]), int(durations[nid]))
+            for nid in np.flatnonzero(counts).tolist()
+        ]
 
     def fault_counts(self) -> Dict[str, int]:
         counts = np.bincount(self.columns.kind, minlength=len(KIND_STRINGS))

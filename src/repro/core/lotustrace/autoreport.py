@@ -24,13 +24,14 @@ from repro.core.lotustrace.columns import KIND_CODE_PREPROCESSED, TraceColumns
 from repro.core.lotustrace.records import (
     CACHE_PRIVATE,
     KIND_BATCH_PREPROCESSED,
+    KIND_CACHE_STATS,
     KIND_SAMPLE_RETRIED,
     KIND_SAMPLE_SKIPPED,
     KIND_WORKER_RESTART,
     SCHED_STATIC,
     TRANSPORT_PICKLE,
     TraceRecord,
-    parse_cache_stats_name,
+    parse_counter_name,
 )
 from repro.errors import TraceError
 from repro.utils.timeunits import format_ns
@@ -178,6 +179,18 @@ def _trace_span_ns(records: Union[List[TraceRecord], TraceColumns]) -> int:
     return t_max - t_min
 
 
+def _counter_findings(category: str, stats_by_mode: Dict) -> List[Finding]:
+    """One INFO finding per mode of a counter kind, worded like the
+    ``compare`` line for that mode."""
+    return [
+        Finding(
+            SEVERITY_INFO, category,
+            f"{stats.label}[{mode}]: {stats.describe()}",
+        )
+        for mode, stats in stats_by_mode.items()
+    ]
+
+
 def generate_report(
     records: Union[Iterable[TraceRecord], TraceColumns],
     wait_threshold_ns: Optional[int] = None,
@@ -311,17 +324,7 @@ def generate_report(
     # Batch transport (DESIGN.md §10): traces without transport records
     # (single-process loaders, pre-§10 logs) produce no finding.
     transport = analysis.transport_stats()
-    for stats in transport.values():
-        mib = stats.payload_bytes / (1024.0 * 1024.0)
-        findings.append(
-            Finding(
-                SEVERITY_INFO,
-                "transport",
-                f"{stats.batches} batches shipped over the {stats.transport} "
-                f"carrier ({mib:.1f} MiB, {stats.copies} copies, publish "
-                f"time {format_ns(stats.publish_time_ns)})",
-            )
-        )
+    findings.extend(_counter_findings("transport", transport))
     pickle_stats = transport.get(TRANSPORT_PICKLE)
     if pickle_stats is not None and pickle_stats.payload_bytes > 0:
         findings.append(
@@ -339,25 +342,13 @@ def generate_report(
     # Decoded-sample cache (DESIGN.md §11): traces without cache records
     # (no CachingLoader) produce no finding.
     cache = analysis.cache_stats()
-    for stats in cache.values():
-        pinned_mib = stats.max_pinned_bytes / (1024.0 * 1024.0)
-        findings.append(
-            Finding(
-                SEVERITY_INFO,
-                "decode-cache",
-                f"the {stats.mode} decoded-sample cache served "
-                f"{stats.hits} hits / {stats.misses} misses "
-                f"({stats.hit_rate:.0%} hit rate, "
-                f"{stats.cross_worker_hits} cross-worker) over "
-                f"{stats.batches} batches, with {stats.evictions} "
-                f"evictions and {pinned_mib:.1f} MiB peak pinned",
-            )
-        )
+    findings.extend(_counter_findings("decode-cache", cache))
     if CACHE_PRIVATE in cache:
         private_workers = {
             record.worker_id
-            for record in analysis.cache_records
-            if parse_cache_stats_name(record.name)[0] == CACHE_PRIVATE
+            for record in analysis.records_of(KIND_CACHE_STATS)
+            if parse_counter_name(KIND_CACHE_STATS, record.name)[0]
+            == CACHE_PRIVATE
         }
         if len(private_workers) >= 2:
             findings.append(
@@ -375,24 +366,7 @@ def generate_report(
     # Batch scheduler (DESIGN.md §12): traces without sched records
     # (single-process loaders, pre-§12 logs) produce no finding.
     sched = analysis.sched_stats()
-    for stats in sched.values():
-        if stats.min_chosen_depth == stats.max_chosen_depth:
-            depth = f"in-flight depth {stats.min_chosen_depth}"
-        else:
-            depth = (
-                f"in-flight depth {stats.min_chosen_depth}-"
-                f"{stats.max_chosen_depth}"
-            )
-        findings.append(
-            Finding(
-                SEVERITY_INFO,
-                "scheduler",
-                f"the {stats.mode} scheduler dispatched {stats.batches} "
-                f"batches with {stats.steals} steals (queue depth mean "
-                f"{stats.mean_queue_depth:.1f} / max "
-                f"{stats.max_queue_depth}, {depth})",
-            )
-        )
+    findings.extend(_counter_findings("scheduler", sched))
     static_sched = sched.get(SCHED_STATIC)
     if static_sched is not None and static_sched.batches > 0:
         span = _trace_span_ns(records)

@@ -31,60 +31,22 @@ import numpy as np
 from repro.core.lotustrace.records import (
     KIND_BATCH_CONSUMED,
     KIND_BATCH_PREPROCESSED,
-    KIND_BATCH_TRANSPORT,
     KIND_BATCH_WAIT,
-    KIND_CACHE_STATS,
     KIND_OP,
-    KIND_SCHED,
-    KIND_SAMPLE_RETRIED,
-    KIND_SAMPLE_SKIPPED,
-    KIND_WORKER_HEARTBEAT,
-    KIND_WORKER_RESTART,
+    KIND_STRINGS,
+    KIND_TO_CODE,
     TraceRecord,
 )
 from repro.errors import TraceError
 
 PathLike = Union[str, os.PathLike]
 
-#: Numeric kind codes used in the ``kind`` column.
-KIND_CODE_OP = 0
-KIND_CODE_PREPROCESSED = 1
-KIND_CODE_WAIT = 2
-KIND_CODE_CONSUMED = 3
-KIND_CODE_WORKER_RESTART = 4
-KIND_CODE_SAMPLE_SKIPPED = 5
-KIND_CODE_SAMPLE_RETRIED = 6
-KIND_CODE_HEARTBEAT = 7
-KIND_CODE_BATCH_TRANSPORT = 8
-KIND_CODE_CACHE_STATS = 9
-KIND_CODE_SCHED = 10
-
-#: code -> kind string, index-aligned with the ``KIND_CODE_*`` constants.
-#: The original four codes must keep their values: persisted analyses and
-#: the parity tests rely on them. The fault codes (4-7) must also stay
-#: contiguous — the analysis engines filter them as a closed range.
-KIND_STRINGS = (
-    KIND_OP,
-    KIND_BATCH_PREPROCESSED,
-    KIND_BATCH_WAIT,
-    KIND_BATCH_CONSUMED,
-    KIND_WORKER_RESTART,
-    KIND_SAMPLE_SKIPPED,
-    KIND_SAMPLE_RETRIED,
-    KIND_WORKER_HEARTBEAT,
-    KIND_BATCH_TRANSPORT,
-    KIND_CACHE_STATS,
-    KIND_SCHED,
-)
-KIND_TO_CODE = {name: code for code, name in enumerate(KIND_STRINGS)}
-
-#: Fault-kind codes as an array, for vectorized ``isin`` filters.
-FAULT_KIND_CODES = (
-    KIND_CODE_WORKER_RESTART,
-    KIND_CODE_SAMPLE_SKIPPED,
-    KIND_CODE_SAMPLE_RETRIED,
-    KIND_CODE_HEARTBEAT,
-)
+#: Numeric codes (``records.KIND_TABLE`` indices) of the kinds the
+#: vectorized consumers select by code.
+KIND_CODE_OP = KIND_TO_CODE[KIND_OP]
+KIND_CODE_PREPROCESSED = KIND_TO_CODE[KIND_BATCH_PREPROCESSED]
+KIND_CODE_WAIT = KIND_TO_CODE[KIND_BATCH_WAIT]
+KIND_CODE_CONSUMED = KIND_TO_CODE[KIND_BATCH_CONSUMED]
 
 #: Chunk size for the streaming file parser. Small enough that every
 #: per-chunk intermediate (separator indices, SWAR words, digit-gather

@@ -11,17 +11,9 @@ the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-from typing import Union
-
-from repro.core.lotustrace.analysis import (
-    CacheTraceStats,
-    SchedTraceStats,
-    TraceAnalysis,
-    TransportStats,
-    analyze_trace,
-)
+from repro.core.lotustrace.analysis import COUNTER_REDUCTIONS, analyze_trace
 from repro.core.lotustrace.columns import TraceColumns
 from repro.core.lotustrace.records import TraceRecord
 from repro.errors import TraceError
@@ -59,18 +51,10 @@ class TraceComparison:
     candidate_median_wait_ns: float = 0.0
     baseline_median_delay_ns: float = 0.0
     candidate_median_delay_ns: float = 0.0
-    #: Per-carrier hand-off totals (DESIGN.md §10), keyed by transport
-    #: mode; empty for traces predating the transport record.
-    baseline_transport: Dict[str, TransportStats] = field(default_factory=dict)
-    candidate_transport: Dict[str, TransportStats] = field(default_factory=dict)
-    #: Decoded-sample cache totals (DESIGN.md §11), keyed by cache mode;
-    #: empty for traces without a ``CachingLoader``.
-    baseline_cache: Dict[str, CacheTraceStats] = field(default_factory=dict)
-    candidate_cache: Dict[str, CacheTraceStats] = field(default_factory=dict)
-    #: Scheduler totals (DESIGN.md §12), keyed by scheduler mode; empty
-    #: for single-process loaders and traces predating the sched record.
-    baseline_sched: Dict[str, SchedTraceStats] = field(default_factory=dict)
-    candidate_sched: Dict[str, SchedTraceStats] = field(default_factory=dict)
+    #: Counter-kind totals (DESIGN.md §10-§12) per side: kind -> mode ->
+    #: stats, ``{}`` for a kind the trace does not carry.
+    baseline_counters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    candidate_counters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def delta_for(self, op: str) -> OpDelta:
         for delta in self.op_deltas:
@@ -106,93 +90,22 @@ class TraceComparison:
             f"median delay: {format_ns(self.baseline_median_delay_ns)} -> "
             f"{format_ns(self.candidate_median_delay_ns)}"
         )
-        lines.extend(self._format_transport())
-        lines.extend(self._format_cache())
-        lines.extend(self._format_sched())
+        # One line per (counter kind, mode) seen in either run, so (say)
+        # the pickle and shm carriers, a private and the shared cache, or
+        # static and stealing dispatch read side by side.
+        for kind, (stats_cls, _) in COUNTER_REDUCTIONS.items():
+            base = self.baseline_counters.get(kind, {})
+            cand = self.candidate_counters.get(kind, {})
+            for mode in sorted(set(base) | set(cand)):
+                lines.append(
+                    f"{stats_cls.label}[{mode}]: {_describe(base.get(mode))}"
+                    f" -> {_describe(cand.get(mode))}"
+                )
         return "\n".join(lines)
 
-    def _format_transport(self) -> List[str]:
-        """One line per transport mode seen in either run, so the
-        hand-off cost of (say) the pickle process backend and the shm or
-        thread inline carriers can be read side by side."""
-        modes = sorted(set(self.baseline_transport) | set(self.candidate_transport))
-        lines = []
-        for mode in modes:
-            base = self.baseline_transport.get(mode)
-            cand = self.candidate_transport.get(mode)
-            lines.append(
-                f"transport[{mode}]: {_describe_transport(base)} -> "
-                f"{_describe_transport(cand)}"
-            )
-        return lines
 
-
-    def _format_cache(self) -> List[str]:
-        """One line per cache mode seen in either run, so (say) the
-        effect of switching a private per-process cache to the shared
-        arena can be read as a hit-rate and eviction shift."""
-        modes = sorted(set(self.baseline_cache) | set(self.candidate_cache))
-        lines = []
-        for mode in modes:
-            base = self.baseline_cache.get(mode)
-            cand = self.candidate_cache.get(mode)
-            lines.append(
-                f"cache[{mode}]: {_describe_cache(base)} -> "
-                f"{_describe_cache(cand)}"
-            )
-        return lines
-
-
-    def _format_sched(self) -> List[str]:
-        """One line per scheduler mode seen in either run, so (say) the
-        effect of moving a straggler-bound static run to stealing can be
-        read as a queue-depth and steal-count shift."""
-        modes = sorted(set(self.baseline_sched) | set(self.candidate_sched))
-        lines = []
-        for mode in modes:
-            base = self.baseline_sched.get(mode)
-            cand = self.candidate_sched.get(mode)
-            lines.append(
-                f"sched[{mode}]: {_describe_sched(base)} -> "
-                f"{_describe_sched(cand)}"
-            )
-        return lines
-
-
-def _describe_sched(stats: Optional[SchedTraceStats]) -> str:
-    if stats is None:
-        return "absent"
-    if stats.min_chosen_depth == stats.max_chosen_depth:
-        depth = f"depth {stats.min_chosen_depth}"
-    else:
-        depth = f"depth {stats.min_chosen_depth}-{stats.max_chosen_depth}"
-    return (
-        f"{stats.batches} batches, {stats.steals} steals, "
-        f"queue mean {stats.mean_queue_depth:.1f} / max "
-        f"{stats.max_queue_depth}, {depth}"
-    )
-
-
-def _describe_cache(stats: Optional[CacheTraceStats]) -> str:
-    if stats is None:
-        return "absent"
-    pinned_mib = stats.max_pinned_bytes / (1024.0 * 1024.0)
-    return (
-        f"{stats.hits} hits / {stats.misses} misses "
-        f"({stats.hit_rate:.0%} hit rate, {stats.cross_worker_hits} "
-        f"cross-worker), {stats.evictions} evictions, "
-        f"{pinned_mib:.1f} MiB pinned peak"
-    )
-
-
-def _describe_transport(stats: Optional[TransportStats]) -> str:
-    if stats is None:
-        return "absent"
-    mib = stats.payload_bytes / (1024.0 * 1024.0)
-    return (
-        f"{stats.batches} batches, {mib:.1f} MiB, {stats.copies} copies, "
-        f"{format_ns(stats.publish_time_ns)} publish"
-    )
+def _describe(stats: Optional[Any]) -> str:
+    return "absent" if stats is None else stats.describe()
 
 
 def _median(values: List[int]) -> float:
@@ -234,10 +147,10 @@ def compare_traces(
         candidate_median_wait_ns=_median(cand.wait_times_ns()),
         baseline_median_delay_ns=_median(base.delay_times_ns()),
         candidate_median_delay_ns=_median(cand.delay_times_ns()),
-        baseline_transport=base.transport_stats(),
-        candidate_transport=cand.transport_stats(),
-        baseline_cache=base.cache_stats(),
-        candidate_cache=cand.cache_stats(),
-        baseline_sched=base.sched_stats(),
-        candidate_sched=cand.sched_stats(),
+        baseline_counters={
+            kind: base.counter_stats(kind) for kind in COUNTER_REDUCTIONS
+        },
+        candidate_counters={
+            kind: cand.counter_stats(kind) for kind in COUNTER_REDUCTIONS
+        },
     )

@@ -2,191 +2,134 @@
 
 Each record is one instrumentation event: a per-image transform ([T3]), a
 per-batch preprocessing span ([T1]), a main-process wait ([T2]), or a
-batch consumption marker. Records are written as single CSV lines so the
-per-log overhead stays at two timestamps plus one formatted write.
+batch consumption marker, plus the fault and counter bookkeeping kinds
+declared in :data:`KIND_TABLE`. Records are written as single CSV lines
+so the per-log overhead stays at two timestamps plus one formatted write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import TraceError
 from repro.utils.timeunits import NS_PER_US
 
-KIND_OP = "op"
-KIND_BATCH_PREPROCESSED = "batch_preprocessed"
-KIND_BATCH_WAIT = "batch_wait"
-KIND_BATCH_CONSUMED = "batch_consumed"
 
-# Fault-tolerance record kinds (DESIGN.md §8). Clean runs never emit
-# them, so pre-existing traces and the [T1]/[T2]/[T3] hot paths are
-# untouched; fault-injected runs carry their recovery history in-band.
-KIND_WORKER_RESTART = "worker_restart"
-KIND_SAMPLE_SKIPPED = "sample_skipped"
-KIND_SAMPLE_RETRIED = "sample_retried"
-KIND_WORKER_HEARTBEAT = "heartbeat"
+@dataclass(frozen=True)
+class TraceKind:
+    """One record kind: its log string, its Chrome span prefix (``None``
+    for op records, whose span is named after the transform), whether
+    the fault-tolerance layer emits it, and, for counter kinds, the
+    ordered one-letter tags of the integers its name carries."""
 
-# Batch-transport record kind (DESIGN.md §10): one record per batch
-# hand-off from a worker to the main process, carrying the carrier mode,
-# payload bytes, and copy count in the name field (see
-# :func:`format_transport_name`). Emitted by multi-worker loaders on
-# every backend so per-backend transport cost is directly comparable.
-KIND_BATCH_TRANSPORT = "batch_transport"
+    kind: str
+    span_prefix: Optional[str]
+    fault: bool = False
+    tags: str = ""
 
-# Decoded-sample cache record kind (DESIGN.md §11): one record per batch
-# from every carrier (process/thread workers and the single-process
-# iterator) when the loader runs with ``cache=`` enabled, carrying the
-# cache mode and this batch's hit/miss/cross-hit/eviction deltas plus
-# the arena's pinned-byte gauge in the name field (see
-# :func:`format_cache_stats_name`).
-KIND_CACHE_STATS = "cache_stats"
 
-# Batch-scheduler record kind (DESIGN.md §12): one record per *yielded*
-# batch, emitted by the main process under every scheduler mode
-# (``static`` included, so the autoreport can tell a straggler-bound
-# static run from one that already steals). The scheduler mode, the
-# dispatched-but-unconsumed queue depth after the yield, this yield's
-# steal delta, and the per-worker prefetch depth ride in the name field
-# (see :func:`format_sched_name`).
-KIND_SCHED = "sched"
+#: Every record kind, in kind-code order: a kind's numeric code in the
+#: columnar store is its index here, so entries are only ever appended
+#: (codes 0-10 are persisted in analyses and parity tests).
+KIND_TABLE = (
+    # The paper's records: [T3] ops, [T1] fetch, [T2] wait, consumption.
+    TraceKind("op", None),
+    TraceKind("batch_preprocessed", "SBatchPreprocessed"),
+    TraceKind("batch_wait", "SBatchWait"),
+    TraceKind("batch_consumed", "SBatchConsumed"),
+    # Fault tolerance (DESIGN.md §8): zero-width markers that clean runs
+    # never emit, so clean traces and the [T1]/[T2]/[T3] paths are as
+    # before; fault-injected runs carry their recovery history in-band.
+    TraceKind("worker_restart", "SWorkerRestart", fault=True),
+    TraceKind("sample_skipped", "SSampleSkipped", fault=True),
+    TraceKind("sample_retried", "SSampleRetried", fault=True),
+    TraceKind("heartbeat", "SHeartbeat", fault=True),
+    # Counter kinds: integers ride in the name as ``mode;<tag><int>;...``
+    # (see :func:`format_counter_name`). ``batch_transport`` (§10): one
+    # per worker-to-main hand-off, payload bytes and copy count, with
+    # the publish cost as duration. ``cache_stats`` (§11): one per
+    # fetched batch under ``cache=``, hit/miss/cross-hit/eviction
+    # deltas and the pinned-bytes gauge. ``sched`` (§12): one per
+    # yielded batch from the main process, queue depth after the
+    # yield, the yield's steal delta and the per-worker prefetch depth.
+    TraceKind("batch_transport", "SBatchTransport", tags="bc"),
+    TraceKind("cache_stats", "SCacheStats", tags="hmxep"),
+    TraceKind("sched", "SSched", tags="qsd"),
+)
+
+#: code -> kind string, and its inverse.
+KIND_STRINGS = tuple(entry.kind for entry in KIND_TABLE)
+KIND_TO_CODE = {kind: code for code, kind in enumerate(KIND_STRINGS)}
+
+(
+    KIND_OP,
+    KIND_BATCH_PREPROCESSED,
+    KIND_BATCH_WAIT,
+    KIND_BATCH_CONSUMED,
+    KIND_WORKER_RESTART,
+    KIND_SAMPLE_SKIPPED,
+    KIND_SAMPLE_RETRIED,
+    KIND_WORKER_HEARTBEAT,
+    KIND_BATCH_TRANSPORT,
+    KIND_CACHE_STATS,
+    KIND_SCHED,
+) = KIND_STRINGS
 
 #: Record kinds emitted only by the fault-tolerance layer.
-FAULT_KINDS = frozenset(
-    (
-        KIND_WORKER_RESTART,
-        KIND_SAMPLE_SKIPPED,
-        KIND_SAMPLE_RETRIED,
-        KIND_WORKER_HEARTBEAT,
-    )
+FAULT_KINDS = frozenset(entry.kind for entry in KIND_TABLE if entry.fault)
+FAULT_KIND_CODES = tuple(
+    code for code, entry in enumerate(KIND_TABLE) if entry.fault
 )
 
-_KINDS = (
-    frozenset(
-        (KIND_OP, KIND_BATCH_PREPROCESSED, KIND_BATCH_WAIT, KIND_BATCH_CONSUMED)
-    )
-    | FAULT_KINDS
-    | frozenset((KIND_BATCH_TRANSPORT, KIND_CACHE_STATS, KIND_SCHED))
-)
+#: Counter kind -> ordered integer tags of its name.
+COUNTER_TAGS = {entry.kind: entry.tags for entry in KIND_TABLE if entry.tags}
 
-#: Transport-mode tokens carried in ``batch_transport`` record names.
+#: Mode tokens carried in ``batch_transport`` / ``cache_stats`` /
+#: ``sched`` names. The parser is mode-agnostic, so traces holding
+#: modes no longer offered (``adaptive`` scheduling) still aggregate.
 TRANSPORT_INLINE = "inline"
 TRANSPORT_PICKLE = "pickle"
 TRANSPORT_SHM = "shm"
-
-
-def format_transport_name(transport: str, payload_bytes: int, copies: int) -> str:
-    """Encode a transport record's payload into the record name field.
-
-    The CSV record schema has no spare integer columns, so the carrier
-    mode, bytes moved, and copy count ride in the name as
-    ``mode;b<bytes>;c<copies>`` — comma-free, so the line format and
-    both parsers are untouched. Names intern well in the columnar
-    store: a steady-state epoch produces one name per (mode, batch
-    shape), not one per record.
-    """
-    return f"{transport};b{int(payload_bytes)};c{int(copies)}"
-
-
-def parse_transport_name(name: str) -> "tuple[str, int, int]":
-    """Decode ``(transport, payload_bytes, copies)`` from a record name.
-
-    Raises :class:`TraceError` on names not produced by
-    :func:`format_transport_name`.
-    """
-    parts = name.split(";")
-    try:
-        mode, raw_bytes, raw_copies = parts
-        if not (raw_bytes.startswith("b") and raw_copies.startswith("c")):
-            raise ValueError(name)
-        return mode, int(raw_bytes[1:]), int(raw_copies[1:])
-    except ValueError as exc:
-        raise TraceError(f"malformed transport record name: {name!r}") from exc
-
-
-#: Cache-mode tokens carried in ``cache_stats`` record names.
 CACHE_PRIVATE = "private"
 CACHE_SHARED = "shared"
-
-
-def format_cache_stats_name(
-    mode: str,
-    hits: int,
-    misses: int,
-    cross_hits: int,
-    evictions: int,
-    pinned_bytes: int,
-) -> str:
-    """Encode one batch's cache accounting into the record name field.
-
-    Mirrors :func:`format_transport_name`: the CSV schema has no spare
-    integer columns, so the per-batch deltas ride in the name as
-    ``mode;h<hits>;m<misses>;x<cross>;e<evictions>;p<pinned>`` —
-    comma-free, so the line format and both parsers are untouched.
-    Steady warm epochs (all hits, constant pinned gauge) produce one
-    interned name per batch shape, like transport records.
-    """
-    return (
-        f"{mode};h{int(hits)};m{int(misses)};x{int(cross_hits)}"
-        f";e{int(evictions)};p{int(pinned_bytes)}"
-    )
-
-
-def parse_cache_stats_name(name: str) -> "tuple[str, int, int, int, int, int]":
-    """Decode ``(mode, hits, misses, cross_hits, evictions, pinned_bytes)``.
-
-    Raises :class:`TraceError` on names not produced by
-    :func:`format_cache_stats_name`.
-    """
-    parts = name.split(";")
-    try:
-        mode, raw_h, raw_m, raw_x, raw_e, raw_p = parts
-        prefixes = ("h", "m", "x", "e", "p")
-        raws = (raw_h, raw_m, raw_x, raw_e, raw_p)
-        if not all(raw.startswith(tag) for tag, raw in zip(prefixes, raws)):
-            raise ValueError(name)
-        return (mode,) + tuple(int(raw[1:]) for raw in raws)
-    except ValueError as exc:
-        raise TraceError(f"malformed cache_stats record name: {name!r}") from exc
-
-
-#: Scheduler-mode tokens carried in ``sched`` record names (and accepted
-#: by ``DataLoader(scheduler=...)``). The parser is mode-agnostic, so
-#: traces holding modes no longer offered still parse and aggregate.
 SCHED_STATIC = "static"
 SCHED_STEALING = "stealing"
 
 
-def format_sched_name(
-    mode: str, queue_depth: int, steals: int, chosen_depth: int
-) -> str:
-    """Encode one yield's scheduler accounting into the record name field.
+def format_counter_name(kind: str, mode: str, *values: int) -> str:
+    """Encode a counter record's mode and integers into its name field.
 
-    Mirrors :func:`format_cache_stats_name`: the CSV schema has no spare
-    integer columns, so the per-yield values ride in the name as
-    ``mode;q<queue_depth>;s<steals>;d<chosen_depth>`` — comma-free, so
-    the line format and both parsers are untouched. ``steals`` is this
-    yield's *delta* (batches dispatched off their round-robin home since
-    the previous yield), so totals aggregate by summation.
+    The CSV schema has no spare integer columns, so the values ride in
+    the name as ``mode;<tag><int>;...`` in the kind's tag order — e.g.
+    ``shm;b1048576;c1`` — comma-free, so the line format and both
+    parsers are untouched. Counter names intern well in the columnar
+    store: steady epochs repeat a handful of names.
     """
-    return f"{mode};q{int(queue_depth)};s{int(steals)};d{int(chosen_depth)}"
+    tags = COUNTER_TAGS[kind]
+    if len(values) != len(tags):
+        raise TraceError(
+            f"{kind} takes {len(tags)} values ({tags}), got {len(values)}"
+        )
+    return ";".join([mode] + [f"{tag}{int(v)}" for tag, v in zip(tags, values)])
 
 
-def parse_sched_name(name: str) -> "tuple[str, int, int, int]":
-    """Decode ``(mode, queue_depth, steals, chosen_depth)``.
+def parse_counter_name(kind: str, name: str) -> Tuple:
+    """Decode ``(mode, *values)`` from a ``kind`` counter record's name.
 
     Raises :class:`TraceError` on names not produced by
-    :func:`format_sched_name`.
+    :func:`format_counter_name` for the same kind.
     """
-    parts = name.split(";")
+    tags = COUNTER_TAGS[kind]
+    mode, *fields = name.split(";")
     try:
-        mode, raw_q, raw_s, raw_d = parts
-        raws = (raw_q, raw_s, raw_d)
-        if not all(raw.startswith(tag) for tag, raw in zip("qsd", raws)):
+        if len(fields) != len(tags) or not all(
+            field.startswith(tag) for tag, field in zip(tags, fields)
+        ):
             raise ValueError(name)
-        return (mode,) + tuple(int(raw[1:]) for raw in raws)
+        return (mode,) + tuple(int(field[1:]) for field in fields)
     except ValueError as exc:
-        raise TraceError(f"malformed sched record name: {name!r}") from exc
+        raise TraceError(f"malformed {kind} record name: {name!r}") from exc
 
 
 #: ``worker_id`` used for records emitted by the main process.
@@ -229,7 +172,7 @@ class TraceRecord:
     out_of_order: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KIND_TO_CODE:
             raise TraceError(f"unknown record kind: {self.kind!r}")
         if self.duration_ns < 0:
             raise TraceError(f"negative duration: {self.duration_ns}")

@@ -14,51 +14,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Union
 
-from repro.core.lotustrace.columns import KIND_TO_CODE, TraceColumns
+from repro.core.lotustrace.columns import TraceColumns
 from repro.core.lotustrace.records import (
-    KIND_BATCH_CONSUMED,
-    KIND_BATCH_PREPROCESSED,
-    KIND_BATCH_TRANSPORT,
-    KIND_BATCH_WAIT,
-    KIND_CACHE_STATS,
     KIND_OP,
-    KIND_SAMPLE_RETRIED,
-    KIND_SAMPLE_SKIPPED,
-    KIND_SCHED,
-    KIND_WORKER_HEARTBEAT,
-    KIND_WORKER_RESTART,
+    KIND_TABLE,
     MAIN_PROCESS_WORKER_ID,
     TraceRecord,
 )
 from repro.errors import TraceError
 
+#: Span-name prefix per non-op kind, from the kind table: batch spans,
+#: zero-width fault markers (§8) and counter markers (§10-§12) are all
+#: labeled ``<prefix>_<batch_id>`` so Chrome Trace sorts them alongside
+#: the batch they describe.
 _KIND_PREFIX = {
-    KIND_BATCH_PREPROCESSED: "SBatchPreprocessed",
-    KIND_BATCH_WAIT: "SBatchWait",
-    KIND_BATCH_CONSUMED: "SBatchConsumed",
-    # Fault-tolerance spans (DESIGN.md §8): zero-width markers on the
-    # affected track, labeled like the batch spans so Chrome Trace sorts
-    # them alongside the batch they interrupted.
-    KIND_WORKER_RESTART: "SWorkerRestart",
-    KIND_SAMPLE_SKIPPED: "SSampleSkipped",
-    KIND_SAMPLE_RETRIED: "SSampleRetried",
-    KIND_WORKER_HEARTBEAT: "SHeartbeat",
-    # Batch hand-off spans (DESIGN.md §10): the worker-side publish cost
-    # of moving one collated batch to the main process.
-    KIND_BATCH_TRANSPORT: "SBatchTransport",
-    # Decoded-sample cache accounting spans (DESIGN.md §11): zero-width
-    # per-batch markers carrying the hit/miss deltas in their name.
-    KIND_CACHE_STATS: "SCacheStats",
-    # Batch-scheduler accounting spans (DESIGN.md §12): zero-width
-    # per-yield markers on the main track carrying queue depth, steal
-    # delta, and per-worker prefetch depth in their name.
-    KIND_SCHED: "SSched",
+    entry.kind: entry.span_prefix for entry in KIND_TABLE if entry.span_prefix
 }
 
 
 def span_name_parts() -> Dict[int, str]:
     """Span-name prefixes keyed by numeric kind code (columnar emitter)."""
-    return {KIND_TO_CODE[kind]: prefix for kind, prefix in _KIND_PREFIX.items()}
+    return {
+        code: entry.span_prefix
+        for code, entry in enumerate(KIND_TABLE)
+        if entry.span_prefix
+    }
 
 
 def span_name(record: TraceRecord) -> str:

@@ -253,8 +253,8 @@ class CachingLoader:
         """Drain this thread's per-batch deltas for a cache_stats record.
 
         Returns ``(mode, hits, misses, cross_hits, evictions,
-        pinned_bytes)`` — the argument order of
-        :func:`~repro.core.lotustrace.records.format_cache_stats_name`.
+        pinned_bytes)`` — the mode and ``cache_stats`` tag values
+        :func:`~repro.core.lotustrace.records.format_counter_name` takes.
         The first five reset to zero; pinned bytes is a live gauge of
         the shared arena (0 in private mode).
         """

@@ -57,8 +57,7 @@ from repro.core.lotustrace.records import (
     OOO_MARKER_DURATION_NS,
     SCHED_STATIC,
     TraceRecord,
-    format_cache_stats_name,
-    format_sched_name,
+    format_counter_name,
 )
 from repro.core.lotustrace.logfile import (
     InMemoryTraceLog,
@@ -592,8 +591,8 @@ class _SingleProcessIter:
                     loader._sink.write(
                         TraceRecord(
                             kind=KIND_CACHE_STATS,
-                            name=format_cache_stats_name(
-                                *self._consume_cache_stats()
+                            name=format_counter_name(
+                                KIND_CACHE_STATS, *self._consume_cache_stats()
                             ),
                             batch_id=self._batch_id,
                             worker_id=MAIN_PROCESS_WORKER_ID,
@@ -655,6 +654,11 @@ class _WorkerPool:
         )
         self.dirty = False
         self._closed = False
+        #: Slab descriptor of the batch the consumer holds, acked on the
+        #: next yield (shm transport). It lives on the pool, not the
+        #: iterator, so a persistent pool's next epoch acks the previous
+        #: epoch's last batch instead of losing its slot token.
+        self.held_ref: Optional[ShmBatchRef] = None
         #: Restart generation per worker id; bumped by :meth:`respawn` so
         #: stale payloads/failures from replaced incarnations can be
         #: recognized and dropped.
@@ -892,11 +896,8 @@ class _MultiWorkerIter:
                 loader.num_workers, loader.prefetch_factor, loader.scheduler
             )
         # Shm transport bookkeeping: the slab descriptor behind each
-        # resolved-but-unyielded batch, and the descriptor of the batch
-        # the consumer currently holds (acked one yield late so the
-        # current batch's slab is never recycled under the consumer).
+        # resolved-but-unyielded batch (the held one lives on the pool).
         self._resolved_refs: Dict[int, ShmBatchRef] = {}
-        self._held_ref: Optional[ShmBatchRef] = None
         self._worker_cycle = itertools.cycle(range(loader.num_workers))
         self._exhausted_workers: set = set()
         self._shutdown = False
@@ -1159,8 +1160,8 @@ class _MultiWorkerIter:
         starts with all slots free, and a stale token would double-book
         one."""
         pool = self._pool
-        previous = self._held_ref
-        self._held_ref = self._resolved_refs.pop(batch_id, None)
+        previous = pool.held_ref
+        pool.held_ref = self._resolved_refs.pop(batch_id, None)
         if (
             previous is not None
             and pool.ack_queues is not None
@@ -1359,7 +1360,8 @@ class _MultiWorkerIter:
         self._sink.write(
             TraceRecord(
                 kind=KIND_SCHED,
-                name=format_sched_name(
+                name=format_counter_name(
+                    KIND_SCHED,
                     loader.scheduler,
                     queue_depth,
                     steals,

@@ -66,7 +66,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DataLoaderError
-from repro.tensor.batchbuffer import SLAB_PAGE_BYTES, round_to_pages
+from repro.tensor.batchbuffer import (
+    SLAB_PAGE_BYTES,
+    abandon_mapping,
+    round_to_pages,
+    unlink_segment,
+)
 
 # Entry states.
 SLOT_EMPTY = 0
@@ -110,20 +115,6 @@ def sample_cache_prefix(main_pid: int, nonce: int) -> str:
     31-char POSIX shm name limit.
     """
     return f"lt{main_pid}c{nonce}"
-
-
-def _unlink_segment(name: str) -> bool:
-    """Tolerantly unlink one named segment; True if it was removed."""
-    try:
-        segment = shared_memory.SharedMemory(name=name, create=False)
-    except (FileNotFoundError, OSError):
-        return False
-    segment.close()
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        return False
-    return True
 
 
 def shared_sample_key(source) -> bytes:
@@ -660,8 +651,6 @@ class SharedSampleCache:
         them — the pages stay mapped exactly as long as some view needs
         them (the PR 7 ``from_shared_buffer`` contract).
         """
-        from repro.data.transport import abandon_mapping
-
         self._drop_views()
         for segment in (self._index, self._data):
             try:
@@ -679,5 +668,5 @@ class SharedSampleCache:
             return
         self._unlinked = True
         self.close()
-        _unlink_segment(f"{self.prefix}d")
-        _unlink_segment(f"{self.prefix}i")
+        unlink_segment(f"{self.prefix}d")
+        unlink_segment(f"{self.prefix}i")

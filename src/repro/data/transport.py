@@ -42,7 +42,6 @@ leaves of a mixed payload ride pickled inside the descriptor's skeleton.
 from __future__ import annotations
 
 import itertools
-import os
 import queue as queue_module
 from collections import deque
 from dataclasses import dataclass
@@ -58,6 +57,7 @@ from repro.core.lotustrace.records import (
 from repro.errors import DataLoaderError
 from repro.tensor.batchbuffer import (
     SharedSlabRing,
+    abandon_mapping,
     slab_ring_prefix,
     unlink_slab_ring,
 )
@@ -80,34 +80,6 @@ _ACK_POLL_S = 0.05
 #: Distinguishes concurrent loaders (and successive pools of one loader)
 #: within the same main process in slab segment names.
 _pool_nonce = itertools.count()
-
-def abandon_mapping(segment: Any) -> None:
-    """Hand a mapping's lifetime over to the views that alias it.
-
-    Called when ``segment.close()`` refuses with ``BufferError`` (a
-    consumer still holds zero-copy tensors). Dropping the SharedMemory
-    object's own references leaves the mmap owned solely by the
-    memoryview inside each view's base chain — the pages stay mapped
-    exactly as long as some tensor needs them, and the object's eventual
-    ``__del__`` has nothing left to close (no BufferError noise at
-    interpreter exit). The file descriptor is closed here; the mapping
-    does not need it.
-
-    Public because the shared sample cache (DESIGN.md §11) applies the
-    same discipline to its arena mapping on ``close()``.
-    """
-    try:
-        segment._buf = None
-        if segment._fd >= 0:
-            os.close(segment._fd)
-            segment._fd = -1
-        segment._mmap = None
-    except (AttributeError, OSError):
-        pass
-
-
-#: Backward-compatible alias for the pre-§11 private name.
-_abandon_mapping = abandon_mapping
 
 
 def next_pool_nonce() -> int:
@@ -383,7 +355,7 @@ class ShmMainTransport:
             try:
                 segment.close()
             except BufferError:
-                _abandon_mapping(segment)
+                abandon_mapping(segment)
         self._attached.clear()
         self._retired.clear()
 

@@ -50,8 +50,7 @@ from repro.core.lotustrace.records import (
     KIND_CACHE_STATS,
     KIND_WORKER_HEARTBEAT,
     TraceRecord,
-    format_cache_stats_name,
-    format_transport_name,
+    format_counter_name,
 )
 from repro.data.faults import WorkerCrashInjection, set_worker_generation
 from repro.data.fetcher import create_fetcher
@@ -387,7 +386,9 @@ def worker_loop(
                     sink.write(
                         TraceRecord(
                             kind=KIND_CACHE_STATS,
-                            name=format_cache_stats_name(*consume_cache_stats()),
+                            name=format_counter_name(
+                                KIND_CACHE_STATS, *consume_cache_stats()
+                            ),
                             batch_id=batch_id,
                             worker_id=worker_id,
                             pid=pid,
@@ -434,7 +435,9 @@ def worker_loop(
                 sink.write(
                     TraceRecord(
                         kind=KIND_BATCH_TRANSPORT,
-                        name=format_transport_name(mode, moved_bytes, copies),
+                        name=format_counter_name(
+                            KIND_BATCH_TRANSPORT, mode, moved_bytes, copies
+                        ),
                         batch_id=batch_id,
                         worker_id=worker_id,
                         pid=pid,

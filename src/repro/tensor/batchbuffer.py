@@ -18,6 +18,7 @@ request seen.
 
 from __future__ import annotations
 
+import os
 from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
 
@@ -115,6 +116,50 @@ def slab_ring_prefix(main_pid: int, nonce: int, worker_id: int, generation: int)
     return f"lt{main_pid}q{nonce}w{worker_id}g{generation}"
 
 
+def unlink_segment(name: str) -> bool:
+    """Tolerantly unlink one named segment; True if this call removed it.
+
+    Names that are absent (never created, or already unlinked by another
+    owner) or cannot be opened are skipped. ``unlink()`` also balances
+    the resource tracker: CPython 3.11 registers a segment on every
+    create *and* attach (set semantics, so re-adds are idempotent) and
+    unregisters exactly once here — the single-unlink-owner discipline
+    keeps the tracker cache clean without manual untracking.
+    """
+    try:
+        segment = shared_memory.SharedMemory(name=name, create=False)
+    except OSError:
+        return False
+    segment.close()
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def abandon_mapping(segment: shared_memory.SharedMemory) -> None:
+    """Hand a mapping's lifetime over to the views that alias it.
+
+    Called when ``segment.close()`` refuses with ``BufferError`` (a
+    consumer still holds zero-copy views). Dropping the SharedMemory
+    object's own references leaves the mmap owned solely by the
+    memoryview inside each view's base chain — the pages stay mapped
+    exactly as long as some view needs them, and the object's eventual
+    ``__del__`` has nothing left to close (no BufferError noise at
+    interpreter exit). The file descriptor is closed here; the mapping
+    does not need it.
+    """
+    try:
+        segment._buf = None
+        if segment._fd >= 0:
+            os.close(segment._fd)
+            segment._fd = -1
+        segment._mmap = None
+    except (AttributeError, OSError):
+        pass
+
+
 def unlink_slab_ring(prefix: str, depth: int) -> int:
     """Unlink every slot of a ring, tolerating absent or shared names.
 
@@ -123,27 +168,7 @@ def unlink_slab_ring(prefix: str, depth: int) -> int:
     to run even if the owning worker died before creating all slots.
     Returns the number of segments actually removed.
     """
-    removed = 0
-    for slot in range(depth):
-        name = f"{prefix}s{slot}"
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError:
-            continue
-        except OSError:
-            continue
-        segment.close()
-        try:
-            # unlink() also balances the resource tracker: CPython 3.11
-            # registers a segment on every create *and* attach (set
-            # semantics, so re-adds are idempotent) and unregisters
-            # exactly once here — the single-unlink-owner discipline
-            # keeps the tracker cache clean without manual untracking.
-            segment.unlink()
-            removed += 1
-        except FileNotFoundError:
-            pass
-    return removed
+    return sum(unlink_segment(f"{prefix}s{slot}") for slot in range(depth))
 
 
 class SharedSlabRing:
@@ -205,12 +230,7 @@ class SharedSlabRing:
             # Leftover from a crashed predecessor generation that shares
             # our name (should not happen: the prefix encodes the
             # generation) or an unlink raced with us; reclaim it.
-            stale = shared_memory.SharedMemory(name=name, create=False)
-            stale.close()
-            try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
+            unlink_segment(name)
             fresh = shared_memory.SharedMemory(name=name, create=True, size=size)
         self._segments[slot] = fresh
         return fresh

@@ -383,9 +383,7 @@ class TestChaosEpochs:
             np.testing.assert_array_equal(a, b)
         analysis = analyze_trace(parse_trace_file_columns(log))
         assert analysis.fault_counts().get("worker_restart", 0) == 1
-        restart = [
-            r for r in analysis.fault_records if r.kind == "worker_restart"
-        ]
+        restart = analysis.records_of("worker_restart")
         assert restart and restart[0].name == "crash"
 
 

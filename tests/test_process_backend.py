@@ -14,8 +14,8 @@ from repro.core.lotustrace import (
     TRANSPORT_PICKLE,
     TRANSPORT_SHM,
     analyze_trace,
+    parse_counter_name,
     parse_trace_file,
-    parse_transport_name,
 )
 from repro.data.backends import create_backend
 from repro.data.dataloader import DataLoader
@@ -236,7 +236,7 @@ class TestTransportTraceRecords:
         records = self._transport_records(tmp_path, "shm")
         assert len(records) == 4
         for record in records:
-            mode, payload_bytes, copies = parse_transport_name(record.name)
+            mode, payload_bytes, copies = parse_counter_name(KIND_BATCH_TRANSPORT, record.name)
             assert mode == TRANSPORT_SHM
             assert payload_bytes == 4 * (3 * 8 * 8 * 4 + 8)
             assert copies == 1
@@ -244,7 +244,7 @@ class TestTransportTraceRecords:
     def test_pickle_records_two_copies(self, tmp_path):
         records = self._transport_records(tmp_path, "pickle")
         for record in records:
-            mode, payload_bytes, copies = parse_transport_name(record.name)
+            mode, payload_bytes, copies = parse_counter_name(KIND_BATCH_TRANSPORT, record.name)
             assert mode == TRANSPORT_PICKLE
             assert payload_bytes == 4 * (3 * 8 * 8 * 4 + 8)
             assert copies == 2
@@ -253,7 +253,7 @@ class TestTransportTraceRecords:
         records = self._transport_records(tmp_path, "auto", backend="thread")
         assert len(records) == 4
         for record in records:
-            mode, payload_bytes, copies = parse_transport_name(record.name)
+            mode, payload_bytes, copies = parse_counter_name(KIND_BATCH_TRANSPORT, record.name)
             assert mode == TRANSPORT_INLINE
             assert payload_bytes == 0
             assert copies == 0
@@ -337,4 +337,31 @@ class TestShmSegmentLifecycle:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
         loader.close()
+        assert live_slab_segments() == []
+
+    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
+    def test_persistent_epochs_return_every_slot(self, scheduler):
+        # The last batch of an epoch is acked at the next epoch's first
+        # yield; were its slot token dropped with the iterator, a
+        # persistent pool would lose one slab slot per epoch and stall
+        # once a worker's ring ran dry (epoch 4 under static, 10 under
+        # stealing, at pf 2 with 4 batches per epoch).
+        loader = DataLoader(
+            _image_dataset(8), batch_size=2, num_workers=2,
+            worker_backend="process", transport="shm", seed=0,
+            prefetch_factor=2, scheduler=scheduler,
+            persistent_workers=True, worker_timeout_s=5.0,
+        )
+        try:
+            epochs = [
+                [batch[0].numpy().copy() for batch in loader]
+                for _ in range(12)
+            ]
+        finally:
+            loader.close()
+        assert len(epochs[0]) == 4
+        for epoch in epochs[1:]:
+            assert len(epoch) == len(epochs[0])
+            for got, want in zip(epoch, epochs[0]):
+                assert np.array_equal(got, want)
         assert live_slab_segments() == []

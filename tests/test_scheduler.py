@@ -24,8 +24,7 @@ from repro.core.lotustrace import (
     SCHED_STATIC,
     TraceColumns,
     analyze_trace,
-    format_sched_name,
-    parse_sched_name,
+    parse_counter_name,
     parse_trace_file,
 )
 from repro.data import (
@@ -45,7 +44,7 @@ from repro.data.scheduler import (
     scheduler_inflight_cap,
     validate_scheduler,
 )
-from repro.errors import DataLoaderError, TraceError
+from repro.errors import DataLoaderError
 from repro.imaging.jpeg.codec import encode_sjpg
 from repro.transforms import Compose, RandomResizedCrop, ToTensor
 from tests.conftest import make_test_image
@@ -358,7 +357,7 @@ class TestSchedRecords:
     def test_stealing_records_reconcile_with_dispatcher(self, tmp_path):
         records, iterator = self.run_logged("stealing", tmp_path)
         sched = [r for r in records if r.kind == KIND_SCHED]
-        parsed = [parse_sched_name(r.name) for r in sched]
+        parsed = [parse_counter_name(KIND_SCHED, r.name) for r in sched]
         assert all(mode == "stealing" for mode, *_rest in parsed)
         # Per-yield deltas sum to the dispatcher's lifetime steal count.
         assert sum(s for _, _, s, _ in parsed) == iterator._sched.steals
@@ -372,13 +371,6 @@ class TestSchedRecords:
             TraceColumns.from_records(records)
         ).sched_stats()
         assert via_records == via_columns
-
-    def test_malformed_sched_name_raises(self):
-        with pytest.raises(TraceError, match="malformed sched"):
-            parse_sched_name("stealing;q1;bogus;d2")
-        # Mode-agnostic: records of the removed adaptive mode still parse.
-        mode, q, s, d = parse_sched_name(format_sched_name("adaptive", 5, 1, 3))
-        assert (mode, q, s, d) == ("adaptive", 5, 1, 3)
 
 
 # -- static dispatch pattern (the § II-B shape figs 3 and 5 depend on) --------
@@ -419,7 +411,9 @@ class TestStaticDispatchPattern:
         ]
         assert [r.batch_id for r in sched] == yielded
         for record in sched:
-            _, queue_depth, steals, _ = parse_sched_name(record.name)
+            _, queue_depth, steals, _ = parse_counter_name(
+                KIND_SCHED, record.name
+            )
             assert steals == 0
             assert queue_depth == min(
                 prefetch_factor * num_workers,

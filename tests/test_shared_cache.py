@@ -22,7 +22,7 @@ from repro.core.lotustrace import (
     KIND_CACHE_STATS,
     analysis_engine,
     analyze_trace,
-    parse_cache_stats_name,
+    parse_counter_name,
     parse_trace_file,
     parse_trace_file_columns,
 )
@@ -359,7 +359,9 @@ class TestDecodeExactlyOnce:
         cache_recs = [r for r in records if r.kind == KIND_CACHE_STATS]
         # One record per fetched batch per epoch.
         assert len(cache_recs) == 2 * (N_SOURCES // BATCH)
-        parsed = [parse_cache_stats_name(r.name) for r in cache_recs]
+        parsed = [
+            parse_counter_name(KIND_CACHE_STATS, r.name) for r in cache_recs
+        ]
         assert {p[0] for p in parsed} == {CACHE_SHARED}
         total_hits = sum(p[1] for p in parsed)
         total_misses = sum(p[2] for p in parsed)
@@ -385,7 +387,9 @@ class TestDecodeExactlyOnce:
         assert CACHE_SHARED in oracle.cache_stats()
         # [T3] op attribution (Loader included) identical across engines.
         assert oracle.op_total_cpu_ns() == columnar.op_total_cpu_ns()
-        assert len(oracle.cache_records) == len(columnar.cache_records)
+        assert oracle.records_of(KIND_CACHE_STATS) == columnar.records_of(
+            KIND_CACHE_STATS
+        )
 
 
 class TestSharedCacheValidation:
